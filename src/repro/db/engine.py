@@ -450,7 +450,7 @@ class Engine:
             # SelBatch; gather it once here.
             batch = kernels.materialize_charged(ctx, batch)
             columns = tuple(batch)
-            arrays = [batch[name] for name in columns]
+            arrays = [kernels.decode(batch[name]) for name in columns]
             n = len(arrays[0]) if arrays else 0
             rows = tuple(tuple(_to_python(col[i]) for col in arrays)
                          for i in range(n))

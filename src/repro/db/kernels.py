@@ -8,15 +8,22 @@ contrast against tuple-at-a-time interpretation.
 Kernel inventory
 ----------------
 - :func:`dict_encode` — dictionary-encode one or more key columns into
-  dense composite group ids (``np.unique(..., return_inverse=True)``);
+  dense composite group ids, in ascending key order.  Integer columns
+  (and the codes of :class:`CodedColumn`) with a bounded value range
+  take a sort-free dense remap (present-mask + ``cumsum``); only wide
+  ranges, floats and raw strings fall back to ``np.unique``;
 - :func:`encode_join_keys` — the same encoding applied jointly to both
   sides of an equi-join, so equal keys get equal codes across sides;
-- :func:`join_match` — sort-based equi-join matching emitting
+- :func:`join_match` — counting-based equi-join matching emitting
   ``(left_idx, right_idx)`` gather arrays, left-major like the loop
-  executor (stable ``np.argsort`` + two ``np.searchsorted`` sweeps);
+  executor (``bincount``/``cumsum`` run offsets plus a stable LSD
+  radix sort over 16-bit digits: one pass for up to 65,536 keys);
 - :func:`merge_match` — the already-sorted variant (no argsort pass);
-- :func:`grouped_reduce` — grouped SUM/MIN/MAX via ``np.argsort`` +
-  ``np.add.reduceat`` / ``np.minimum.reduceat`` / ``np.maximum.reduceat``;
+- :func:`radix_partition` / :func:`radix_join_match` — low-bit
+  partitioning (a 16-bit radix sort) and the partition-wise join;
+- :func:`grouped_reduce` — grouped SUM/MIN/MAX via the same radix sort
+  + ``np.add.reduceat`` / ``np.minimum.reduceat`` /
+  ``np.maximum.reduceat``;
 - :func:`group_count` / :func:`group_first_index` — grouped COUNT and
   first-occurrence representative rows;
 - :func:`first_occurrence_order` — DISTINCT keeping loop-identical
@@ -24,14 +31,21 @@ Kernel inventory
 - :func:`compile_expr` — expression compilation with a process-wide
   cache keyed by the (frozen, hashable) expression tree.
 
-Selection vectors
------------------
+Selection vectors and coded columns
+-----------------------------------
 :class:`SelBatch` wraps a base batch plus a ``sel`` index array: a
 filter that keeps 1% of rows produces a 1%-sized ``sel`` instead of
 copying every column.  Downstream non-breaking operators compose with
 ``sel``; pipeline breakers (joins, aggregation, sort, distinct) and the
 engine's materialisation phase gather exactly once via
 :func:`materialize`.
+
+:class:`CodedColumn` is a dictionary-encoded string column in flight:
+the scan's int codes plus the sorted dictionary, both shared with
+storage.  Gathers move codes; grouping, DISTINCT, sort keys and join
+keys work on the codes (sorted dictionary: code order is value order);
+values are decoded (:func:`decode`, :func:`decoded_view`) only where an
+expression or the result needs them.
 
 Every kernel runs under a ``maybe_span(..., category="kernel")`` so
 traces and flamegraphs attribute execution time to individual kernels
@@ -40,7 +54,7 @@ traces and flamegraphs attribute execution time to individual kernels
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,8 +76,11 @@ from repro.errors import PlanError
 from repro.obs import maybe_span
 
 __all__ = [
+    "CodedColumn",
     "SelBatch",
     "compile_expr",
+    "decode",
+    "decoded_view",
     "dict_encode",
     "encode_join_keys",
     "expression_cache_clear",
@@ -73,6 +90,7 @@ __all__ = [
     "group_count",
     "group_first_index",
     "grouped_reduce",
+    "join_key_pair",
     "join_match",
     "materialize",
     "merge_match",
@@ -81,6 +99,7 @@ __all__ = [
     "radix_partition",
     "radix_passes",
     "split_batch",
+    "value_width",
 ]
 
 
@@ -132,14 +151,69 @@ class SelBatch:
     def bytes_used(self) -> int:
         """Selected payload plus the selection vector itself."""
         n = self.rows()
-        total = 8 * n  # the sel array
-        for arr in self.base.values():
-            total += n * (16 if arr.dtype == object else arr.itemsize)
-        return total
+        return 8 * n + sum(n * value_width(arr)
+                           for arr in self.base.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SelBatch({sorted(self.base)}, "
                 f"sel={self.rows()}/{len(next(iter(self.base.values()), []))})")
+
+
+class CodedColumn:
+    """A dictionary-encoded string column travelling through a plan.
+
+    ``codes`` index ``values``, the column's sorted dictionary (both
+    shared with :class:`~repro.db.storage.Dictionary`, never copied).
+    Indexing gathers codes only, so joins and selections move integers
+    instead of Python string objects; :meth:`decode` materialises the
+    values where an expression or the result needs them.
+    """
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray):
+        self.codes = codes
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index) -> "CodedColumn":
+        return CodedColumn(self.codes[index], self.values)
+
+    def decode(self) -> np.ndarray:
+        return self.values[self.codes]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"CodedColumn({len(self)} rows, {len(self.values)} values)"
+
+
+def decode(column):
+    """The value array of *column* (decoded when it is coded)."""
+    if isinstance(column, CodedColumn):
+        return column.decode()
+    return column
+
+
+def decoded_view(batch: Dict[str, np.ndarray], names: Iterable[str]):
+    """*batch* with the coded columns among *names* decoded.
+
+    Returns *batch* itself when none of them is coded.
+    """
+    coded = [n for n in names if isinstance(batch.get(n), CodedColumn)]
+    if not coded:
+        return batch
+    view = dict(batch)
+    for name in coded:
+        view[name] = view[name].decode()
+    return view
+
+
+def value_width(column) -> int:
+    """Simulated bytes per row: strings (object or coded) count 16."""
+    if isinstance(column, CodedColumn) or column.dtype == object:
+        return 16
+    return column.itemsize
 
 
 def split_batch(batch) -> Tuple[Dict[str, np.ndarray],
@@ -171,6 +245,61 @@ def materialize(batch):
 # Dictionary encoding and join matching
 # ---------------------------------------------------------------------------
 
+def _unique_inverse(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``np.unique(values, return_inverse=True)`` as ``(inverse, n)``.
+
+    Integer keys whose range ``hi - lo + 1`` is at most
+    ``4 * n + 2**16`` skip the sort: mark the present keys in a mask
+    and map each key through ``cumsum(mask) - 1``, which numbers the
+    distinct keys in ascending order exactly like ``np.unique``.
+    ``hi - lo`` is taken in Python ints, so int64 extremes cannot
+    overflow.  Wider ranges, floats and strings use ``np.unique``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind == "b":
+        values = values.view(np.uint8)
+    if values.dtype.kind in "iu":
+        if values.size == 0:
+            return np.zeros(0, dtype=np.int64), 0
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo + 1 <= 4 * values.size + 2 ** 16:
+            offsets = (values - values.dtype.type(lo)).astype(np.intp)
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[offsets] = True
+            remap = np.cumsum(present, dtype=np.int64) - 1
+            return remap[offsets], int(remap[-1]) + 1
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), int(len(uniques))
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys
+    as an LSD radix sort: one stable pass per 16-bit digit, each on a
+    ``uint16`` (or, for keys below 256, ``uint8``) array that NumPy
+    radix-sorts in linear time.  Other keys use NumPy's stable sort.
+    """
+    if keys.size == 0 or keys.dtype.kind not in "iu" \
+            or int(keys.min()) < 0:
+        return np.argsort(keys, kind="stable")
+    hi = int(keys.max())
+    if hi <= np.iinfo(np.uint8).max:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while hi >> shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _key_array(column) -> np.ndarray:
+    """Codes of a coded column (order-equivalent to its values)."""
+    if isinstance(column, CodedColumn):
+        return column.codes
+    return np.asarray(column)
+
+
 def dict_encode(columns: Sequence[np.ndarray]
                 ) -> Tuple[np.ndarray, int]:
     """Dense composite codes for equal-length key columns.
@@ -180,28 +309,42 @@ def dict_encode(columns: Sequence[np.ndarray]
     Ids are assigned in ascending composite-key order (NumPy's sort
     order per column), so grouped output produced from these codes is
     key-sorted — unlike the loop executor's first-occurrence order.
+    A :class:`CodedColumn` is encoded through its codes.
     """
     if not columns:
         raise PlanError("dict_encode needs at least one key column")
     n = len(columns[0])
     with maybe_span("kernel.dict_encode", "kernel",
                     rows=n, keys=len(columns)):
-        codes: Optional[np.ndarray] = None
-        for col in columns:
-            uniques, inverse = np.unique(np.asarray(col),
-                                         return_inverse=True)
-            inverse = inverse.astype(np.int64, copy=False)
-            if codes is None:
-                codes = inverse
-            else:
-                codes = codes * np.int64(len(uniques)) + inverse
-                # Re-compact before the mixed-radix product can overflow.
-                if len(uniques) and codes.size \
-                        and int(codes.max(initial=0)) > 2 ** 61:
-                    __, codes = np.unique(codes, return_inverse=True)
-                    codes = codes.astype(np.int64, copy=False)
-        uniques, compact = np.unique(codes, return_inverse=True)
-        return compact.astype(np.int64, copy=False), int(len(uniques))
+        codes, n_codes = _unique_inverse(_key_array(columns[0]))
+        if len(columns) == 1:
+            return codes, n_codes
+        for col in columns[1:]:
+            inverse, n_uniques = _unique_inverse(_key_array(col))
+            # Re-compact before the mixed-radix product could overflow
+            # (compaction keeps the composite order, so ids are equal).
+            if (int(codes.max(initial=0)) + 1) * n_uniques > 2 ** 61:
+                codes, __ = _unique_inverse(codes)
+            codes = codes * np.int64(n_uniques) + inverse
+        return _unique_inverse(codes)
+
+
+def join_key_pair(left, right) -> Tuple[np.ndarray, np.ndarray]:
+    """Comparable key arrays for one equi-join key position.
+
+    Two coded columns compare by code when they share a dictionary;
+    with different dictionaries both are re-coded through the sorted
+    union of the two (so equal values get equal codes and code order
+    stays value order).  Raw codes are never compared across
+    dictionaries.  A coded column meeting a plain one is decoded.
+    """
+    if isinstance(left, CodedColumn) and isinstance(right, CodedColumn):
+        if left.values is right.values:
+            return left.codes, right.codes
+        union = np.unique(np.concatenate([left.values, right.values]))
+        return (np.searchsorted(union, left.values)[left.codes],
+                np.searchsorted(union, right.values)[right.codes])
+    return np.asarray(decode(left)), np.asarray(decode(right))
 
 
 def encode_join_keys(left_cols: Sequence[np.ndarray],
@@ -216,10 +359,15 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
         raise PlanError(
             "join encoding needs equally many (>=1) keys on both sides")
     n_left = len(left_cols[0])
-    combined = [np.concatenate([np.asarray(l), np.asarray(r)])
+    combined = [np.concatenate(join_key_pair(l, r))
                 for l, r in zip(left_cols, right_cols)]
     codes, __ = dict_encode(combined)
     return codes[:n_left], codes[n_left:]
+
+
+def _empty_pairs() -> Tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty.copy()
 
 
 def join_match(left_codes: np.ndarray, right_codes: np.ndarray
@@ -229,23 +377,29 @@ def join_match(left_codes: np.ndarray, right_codes: np.ndarray
     Output order matches the loop executor's hash join exactly: left
     indices ascending, and for one left row its matching right indices
     ascending (the stable argsort keeps equal codes in input order).
+    Keys are remapped densely (:func:`dict_encode`'s sort-free path for
+    bounded ranges); ``bincount``/``cumsum`` give each key's run of
+    right rows.
     """
     with maybe_span("kernel.join_match", "kernel",
                     left=int(left_codes.size),
                     right=int(right_codes.size)):
-        order = np.argsort(right_codes, kind="stable")
-        sorted_right = right_codes[order]
-        starts = np.searchsorted(sorted_right, left_codes, side="left")
-        ends = np.searchsorted(sorted_right, left_codes, side="right")
-        counts = ends - starts
+        n_left = left_codes.size
+        if n_left == 0 or right_codes.size == 0:
+            return _empty_pairs()
+        keys, n_keys = _unique_inverse(
+            np.concatenate([left_codes, right_codes]))
+        left_keys, right_keys = keys[:n_left], keys[n_left:]
+        run_lengths = np.bincount(right_keys, minlength=n_keys)
+        run_starts = np.cumsum(run_lengths) - run_lengths
+        counts = run_lengths[left_keys]
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        left_idx = np.repeat(np.arange(left_codes.size, dtype=np.int64),
-                             counts)
+            return _empty_pairs()
+        order = _stable_order(right_keys)
+        left_idx = np.repeat(np.arange(n_left, dtype=np.int64), counts)
         first = np.cumsum(counts) - counts
-        positions = np.repeat(starts - first, counts) \
+        positions = np.repeat(run_starts[left_keys] - first, counts) \
             + np.arange(total, dtype=np.int64)
         right_idx = order[positions]
         return left_idx, right_idx
@@ -266,8 +420,7 @@ def merge_match(left_keys: np.ndarray, right_keys: np.ndarray
         counts = ends - starts
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
+            return _empty_pairs()
         left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64),
                              counts)
         first = np.cumsum(counts) - counts
@@ -330,7 +483,8 @@ def radix_partition(codes: np.ndarray, n_bits: int
                     rows=int(codes.size), bits=n_bits,
                     passes=radix_passes(n_bits)):
         partitions = codes & np.int64(n_partitions - 1)
-        order = np.argsort(partitions, kind="stable").astype(np.int64)
+        # Partition ids are below 2**MAX_RADIX_BITS: one 16-bit pass.
+        order = _stable_order(partitions).astype(np.int64, copy=False)
         counts = np.bincount(partitions, minlength=n_partitions)
         offsets = np.zeros(n_partitions + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -361,16 +515,28 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
             rs = right_order[right_offsets[p]:right_offsets[p + 1]]
             if ls.size == 0 or rs.size == 0:
                 continue  # empty partition on either side: no matches
-            li, ri = join_match(left_codes[ls], right_codes[rs])
+            # Codes of one partition share their low bits, so the high
+            # bits alone identify them and span a partition-sized range.
+            li, ri = join_match(left_codes[ls] >> n_bits,
+                                right_codes[rs] >> n_bits)
             left_parts.append(ls[li])
             right_parts.append(rs[ri])
         if not left_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
+            return _empty_pairs()
         li = np.concatenate(left_parts)
         ri = np.concatenate(right_parts)
-        order = np.lexsort((ri, li))
-        return li[order], ri[order]
+        # Every left row lives in one partition, so its pairs form one
+        # contiguous run (right indices ascending).  Emitting the runs
+        # in left-row order restores left-major order without a sort.
+        n_left = left_codes.size
+        counts = np.bincount(li, minlength=n_left)
+        run_heads = np.flatnonzero(np.diff(li, prepend=-1))
+        run_start = np.zeros(n_left, dtype=np.int64)
+        run_start[li[run_heads]] = run_heads
+        first = np.cumsum(counts) - counts
+        positions = np.repeat(run_start - first, counts) \
+            + np.arange(li.size, dtype=np.int64)
+        return li[positions], ri[positions]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +563,7 @@ def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
                     rows=int(len(values)), groups=n_groups, op=op):
         if n_groups == 0:
             return np.zeros(0, dtype=np.float64)
-        order = np.argsort(group_ids, kind="stable")
+        order = _stable_order(np.asarray(group_ids))
         sorted_values = np.asarray(values, dtype=np.float64)[order]
         sorted_ids = np.asarray(group_ids)[order]
         starts = np.concatenate(

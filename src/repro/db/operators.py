@@ -48,15 +48,16 @@ def _kernel_extras(ctx) -> List[str]:
 def _predicate_view(batch, columns: Sequence[str], n: int,
                     ctx) -> Batch:
     """The columns an expression needs, gathered if *batch* carries a
-    selection vector.  Expressions over no columns (pure literals) get
-    a carrier column so their result still has *n* rows."""
+    selection vector and decoded if they are coded.  Expressions over
+    no columns (pure literals) get a carrier column so their result
+    still has *n* rows."""
     base, sel = kernels.split_batch(batch)
     if not columns:
         return {"__rows__": np.zeros(n, dtype=np.int8)}
-    if sel is None:
-        return base
-    kernels.charge_gather(ctx, n, len(columns))
-    return kernels.gather(base, sel, list(columns))
+    if sel is not None:
+        kernels.charge_gather(ctx, n, len(columns))
+        base = kernels.gather(base, sel, list(columns))
+    return kernels.decoded_view(base, columns)
 
 
 class SeqScan(PlanNode):
@@ -68,7 +69,9 @@ class SeqScan(PlanNode):
     blocks' I/O and scan CPU are never charged, and in the vectorized
     engine the surviving rows travel as a selection vector so non-filter
     columns materialise late.  Dictionary-encoded columns read their
-    (smaller) code + dictionary footprint instead of raw values.
+    (smaller) code + dictionary footprint instead of raw values, and the
+    vectorized engine passes string columns on as
+    :class:`~repro.db.kernels.CodedColumn` (codes + sorted dictionary).
     """
 
     category = "scan"
@@ -155,7 +158,11 @@ class SeqScan(PlanNode):
         ctx.charge_cpu("scan",
                        ctx.costs.scan_ns_per_value * n_scanned * len(names))
         ctx.charge_tuples(n_scanned)
-        base = {name: table.column(name).data for name in names}
+        if _vectorized(ctx):
+            base = {name: _scan_column(table.column(name))
+                    for name in names}
+        else:
+            base = {name: table.column(name).data for name in names}
         if survivors is None:
             return base
         if _vectorized(ctx) and getattr(ctx, "selection_vectors", False):
@@ -163,6 +170,15 @@ class SeqScan(PlanNode):
             # until a pipeline breaker gathers the payload columns.
             return kernels.SelBatch(base, survivors)
         return {name: arr[survivors] for name, arr in base.items()}
+
+
+def _scan_column(column):
+    """A dictionary-encoded string column as codes + dictionary (integer
+    and date dictionaries already take the kernels' dense path)."""
+    dictionary = column.dictionary
+    if dictionary is None or column.dtype is not DataType.STRING:
+        return column.data
+    return kernels.CodedColumn(dictionary.codes, dictionary.values)
 
 
 class Filter(PlanNode):
@@ -800,7 +816,7 @@ class Aggregate(PlanNode):
             # the loop executor's first-occurrence order.
             first = kernels.group_first_index(group_ids, n_groups)
             for key_name in self.group_by:
-                out[key_name] = batch[key_name][first]
+                out[key_name] = kernels.decode(batch[key_name][first])
         else:
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
@@ -824,7 +840,8 @@ class Aggregate(PlanNode):
             return np.zeros(0, dtype=np.float64)
         if func is AggFunc.COUNT:
             return kernels.group_count(group_ids, n_groups)
-        values = np.asarray(kernels.compile_expr(expr)(batch),
+        view = kernels.decoded_view(batch, expr.columns())
+        values = np.asarray(kernels.compile_expr(expr)(view),
                             dtype=np.float64)
         if values.size == 0:
             # Only the global aggregate reaches here with zero rows
@@ -928,8 +945,10 @@ class MergeJoin(PlanNode):
         if _vectorized(ctx):
             left = kernels.materialize_charged(ctx, left)
             right = kernels.materialize_charged(ctx, right)
-        lk = left[self.left_key]
-        rk = right[self.right_key]
+            lk, rk = kernels.join_key_pair(left[self.left_key],
+                                           right[self.right_key])
+        else:
+            lk, rk = left[self.left_key], right[self.right_key]
         self._check_sorted(lk, "left")
         self._check_sorted(rk, "right")
         n_left, n_right = len(lk), len(rk)
@@ -1084,13 +1103,28 @@ class Sort(PlanNode):
         order = np.arange(n)
         self.aux_bytes = 8 * n  # the permutation vector
         # Stable sorts applied from the least significant key backwards.
+        # A DESC key sorts stably on its negated rank: reversing an
+        # ascending sort would also reverse the tie order that the less
+        # significant keys already established.
         for column, ascending in reversed(self.keys):
-            values = batch[column][order]
-            idx = np.argsort(values, kind="stable")
-            if not ascending:
-                idx = idx[::-1]
-            order = order[idx]
+            values = _sort_key(batch[column][order], ascending)
+            order = order[np.argsort(values, kind="stable")]
         return {name: arr[order] for name, arr in batch.items()}
+
+
+def _sort_key(column, ascending: bool) -> np.ndarray:
+    """Values whose ascending stable sort gives *column*'s order.
+
+    Coded columns sort by code (their dictionary is sorted); a DESC key
+    negates the rank (the code, or else the ``np.unique`` inverse).
+    """
+    if isinstance(column, kernels.CodedColumn):
+        rank = column.codes
+    elif ascending:
+        return column
+    else:
+        rank = np.unique(column, return_inverse=True)[1]
+    return rank if ascending else -rank
 
 
 class Limit(PlanNode):

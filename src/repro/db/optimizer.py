@@ -791,9 +791,7 @@ def _assemble_cost_plan(statement: SelectStatement, ctx: _CostContext,
                                                info.rows))
         return node
 
-    def apply_residual(node: PlanNode, before: Set[str],
-                       after: Set[str]) -> PlanNode:
-        conjuncts = _newly_available(ctx, before, after)
+    def apply_residual(node: PlanNode, conjuncts: List[Expr]) -> PlanNode:
         if not conjuncts:
             return node
         rows_in = node.est_rows if node.est_rows is not None else 0.0
@@ -803,8 +801,8 @@ def _assemble_cost_plan(statement: SelectStatement, ctx: _CostContext,
         return _annotate(Filter(node, conjoin(conjuncts)), rows_out,
                          model.operator_ns("Filter", rows_in, rows_out))
 
-    plan = apply_residual(scan_node(prefix.order[0]), set(),
-                          {prefix.order[0]})
+    plan = apply_residual(scan_node(prefix.order[0]),
+                          _newly_available(ctx, set(), {prefix.order[0]}))
     joined: Set[str] = {prefix.order[0]}
     for step in prefix.steps:
         right = scan_node(step.table)
@@ -852,7 +850,14 @@ def _assemble_cost_plan(statement: SelectStatement, ctx: _CostContext,
         plan = _annotate(node, step.rows_out, own)
         before = set(joined)
         joined.add(step.table)
-        plan = apply_residual(plan, before, joined)
+        plan = apply_residual(plan,
+                              _newly_available(ctx, before, joined))
+
+    # Column-free conjuncts (``WHERE 1 = 0``) have no owner table, so no
+    # join step ever makes them "newly available": filter the joined
+    # input once instead.
+    plan = apply_residual(plan, [conjunct for conjunct, owners
+                                 in ctx.residual if not owners])
 
     # -- output stage, annotated bottom-up --------------------------------
     pipeline_base = plan

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.db.context import ExecutionContext
-from repro.db.kernels import SelBatch
+from repro.db.kernels import SelBatch, value_width
 from repro.db.types import DataType
 from repro.errors import PlanError
 from repro.obs import maybe_span
@@ -35,7 +35,8 @@ def batch_rows(batch: Batch) -> int:
 
 
 def batch_bytes(batch: Batch) -> int:
-    """Approximate bytes a batch occupies (strings estimated at 16B).
+    """Approximate bytes a batch occupies (strings estimated at 16B,
+    coded or not).
 
     A :class:`~repro.db.kernels.SelBatch` is charged for its selected
     payload plus the selection vector — deferred materialisation is
@@ -43,13 +44,7 @@ def batch_bytes(batch: Batch) -> int:
     """
     if isinstance(batch, SelBatch):
         return batch.bytes_used()
-    total = 0
-    for arr in batch.values():
-        if arr.dtype == object:
-            total += len(arr) * 16
-        else:
-            total += int(arr.nbytes)
-    return total
+    return sum(len(arr) * value_width(arr) for arr in batch.values())
 
 
 #: Ceiling for sanitised cardinality/cost estimates: large enough to

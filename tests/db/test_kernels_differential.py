@@ -6,6 +6,10 @@ executors over seeded random data and the results must agree row for
 row.  GROUP BY output order legitimately differs (the loop executor
 emits groups in first-occurrence order, the kernels in key order), so
 grouped queries compare as sorted row sets.
+
+The second half checks the kernels' sort-free paths (dense remap,
+counting join, radix sort) against the ``np.unique`` / ``searchsorted``
+implementations they replaced: outputs must be byte-identical.
 """
 
 import math
@@ -13,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.db import DataType, Database, Engine, EngineConfig, Table
+from repro.db import DataType, Database, Engine, EngineConfig, Table, kernels
 
 
 def _engines(db):
@@ -187,3 +191,183 @@ class TestSelectionVectorToggle:
                                       selection_vectors=selvec))
         sql = "SELECT id, v FROM t WHERE k < 33 ORDER BY id LIMIT 40"
         assert loop.execute(sql).rows == vec.execute(sql).rows
+
+
+# ---------------------------------------------------------------------------
+# Sort-free kernel paths vs their np.unique / searchsorted references
+# ---------------------------------------------------------------------------
+
+INT64 = np.iinfo(np.int64)
+
+
+def assert_identical(actual, expected):
+    """Byte-identical arrays: same dtype, shape and contents."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def reference_encode(columns):
+    """Composite ids by lexicographic row rank (np.unique over rows)."""
+    ranks = [np.unique(c, return_inverse=True)[1].reshape(-1)
+             for c in columns]
+    uniques, inverse = np.unique(np.stack(ranks, axis=1), axis=0,
+                                 return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(uniques)
+
+
+def reference_join(left, right):
+    """The sort-and-binary-search join the counting kernel replaced."""
+    order = np.argsort(right, kind="stable")
+    sorted_right = right[order]
+    starts = np.searchsorted(sorted_right, left, side="left")
+    counts = np.searchsorted(sorted_right, left, side="right") - starts
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    left_idx = np.repeat(np.arange(left.size, dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts
+    positions = np.repeat(starts - first, counts) \
+        + np.arange(total, dtype=np.int64)
+    return left_idx, order[positions]
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """Count np.unique calls, so a test can tell which path ran."""
+    calls = []
+    original = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(np.asarray(args[0]).size)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np, "unique", counting)
+    return calls
+
+
+ENCODE_CASES = {
+    "empty": [np.empty(0, dtype=np.int64)],
+    "single_value": [np.full(9, 42, dtype=np.int64)],
+    "negative_keys": [np.random.default_rng(1).integers(-500, 500, 2000)],
+    "int64_extremes": [np.array([INT64.min, INT64.max, 0, INT64.min, -1,
+                                 INT64.max], dtype=np.int64)],
+    "sparse_huge_range": [np.random.default_rng(2).integers(
+        0, 2 ** 40, 3000)],
+    "bool": [np.random.default_rng(3).random(100) < 0.3],
+    "int32_and_string": [np.random.default_rng(4).integers(
+        -3, 3, 600).astype(np.int32),
+        np.array([f"s{i % 11}" for i in range(600)], dtype=object)],
+}
+
+
+class TestDenseRemap:
+    @pytest.mark.parametrize("case", sorted(ENCODE_CASES))
+    def test_dict_encode_matches_unique(self, case):
+        columns = ENCODE_CASES[case]
+        codes, n_codes = kernels.dict_encode(columns)
+        expected, n_expected = reference_encode(columns)
+        assert n_codes == n_expected
+        assert_identical(codes, expected)
+
+    def test_bounded_range_is_sort_free(self, unique_calls):
+        keys = np.random.default_rng(5).integers(-10_000, 10_000, 50_000)
+        codes, n_codes = kernels.dict_encode([keys, keys % 7])
+        assert unique_calls == []
+        expected, n_expected = reference_encode([keys, keys % 7])
+        assert n_codes == n_expected
+        assert_identical(codes, expected)
+
+    def test_sparse_huge_range_falls_back(self, unique_calls):
+        keys = ENCODE_CASES["sparse_huge_range"][0]
+        kernels.dict_encode([keys])
+        assert unique_calls == [keys.size]
+
+    def test_int64_extremes_fall_back(self, unique_calls):
+        keys = ENCODE_CASES["int64_extremes"][0]
+        kernels.dict_encode([keys])
+        assert unique_calls == [keys.size]
+
+    def test_composite_recompaction_near_2_61(self):
+        # Six keys of 4096 distinct values each: the mixed-radix product
+        # passes 2**61 at the sixth key and must re-compact first.
+        rng = np.random.default_rng(6)
+        n = 4096
+        columns = [rng.permutation(n).astype(np.int64) * 3 - 5000
+                   for __ in range(6)]
+        columns = [np.concatenate([c, c[:100]]) for c in columns]
+        codes, n_codes = kernels.dict_encode(columns)
+        expected, n_expected = reference_encode(columns)
+        assert n_codes == n_expected == n
+        assert_identical(codes, expected)
+
+    def test_coded_column_encodes_like_its_values(self):
+        values = np.array(["ant", "bee", "cat", "dog"], dtype=object)
+        codes = np.random.default_rng(7).integers(0, 4, 300)
+        coded = kernels.CodedColumn(codes, values)
+        got, n = kernels.dict_encode([coded, codes % 3])
+        expected, n_expected = reference_encode(
+            [coded.decode(), codes % 3])
+        assert n == n_expected
+        assert_identical(got, expected)
+
+
+JOIN_CASES = {
+    "empty_left": (np.empty(0, dtype=np.int64), np.arange(5)),
+    "empty_right": (np.arange(5), np.empty(0, dtype=np.int64)),
+    "single_value": (np.full(4, 3), np.full(6, 3)),
+    "negative_keys": (np.random.default_rng(8).integers(-40, 0, 300),
+                      np.random.default_rng(9).integers(-60, 5, 200)),
+    "int64_extremes": (np.array([INT64.min, 5, INT64.max, INT64.min]),
+                       np.array([INT64.max, INT64.min, 7, INT64.min])),
+    "no_matches": (np.arange(0, 100), np.arange(100, 150)),
+}
+
+
+class TestCountingJoin:
+    @pytest.mark.parametrize("case", sorted(JOIN_CASES))
+    def test_join_match_matches_reference(self, case):
+        left, right = (np.asarray(a, dtype=np.int64)
+                       for a in JOIN_CASES[case])
+        for got, want in zip(kernels.join_match(left, right),
+                             reference_join(left, right)):
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("n_codes", (65_536, 65_537))
+    def test_uint16_boundary(self, n_codes):
+        rng = np.random.default_rng(n_codes)
+        right = np.concatenate([rng.permutation(n_codes),
+                                rng.integers(0, n_codes, 5_000)])
+        left = rng.integers(-10, n_codes + 10, 70_000)
+        for got, want in zip(kernels.join_match(left, right),
+                             reference_join(left, right)):
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("bits", (0, 8, 14))
+    def test_radix_join_match_matches_reference(self, bits):
+        rng = np.random.default_rng(bits)
+        left = rng.integers(0, 40_000, 30_000)
+        right = rng.integers(0, 40_000, 20_000)
+        for got, want in zip(kernels.radix_join_match(left, right, bits),
+                             reference_join(left, right)):
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("bits", (0, 8, 14))
+    def test_radix_partition_matches_argsort(self, bits):
+        codes = np.random.default_rng(bits + 1).integers(0, 10 ** 9, 9_000)
+        order, offsets = kernels.radix_partition(codes, bits)
+        partitions = codes & np.int64((1 << bits) - 1)
+        assert_identical(order, np.argsort(partitions, kind="stable"))
+        assert_identical(offsets, np.concatenate(
+            ([0], np.cumsum(np.bincount(partitions,
+                                        minlength=1 << bits)))))
+
+    def test_join_keys_across_dictionaries(self):
+        left = kernels.CodedColumn(
+            np.array([0, 1, 2, 1]), np.array(["a", "c", "e"], dtype=object))
+        right = kernels.CodedColumn(
+            np.array([0, 1, 2]), np.array(["c", "d", "e"], dtype=object))
+        lk, rk = kernels.encode_join_keys([left], [right])
+        li, ri = kernels.join_match(lk, rk)
+        assert list(zip(li, ri)) == [(1, 0), (2, 2), (3, 0)]
