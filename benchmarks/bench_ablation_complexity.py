@@ -35,7 +35,7 @@ def sweep():
                   for n in SIZES]
     nl_times = [hot_user_seconds(join_microbenchmark(
         n, n // 4, seed=3,
-        config=EngineConfig.untuned(naive_joins=True,
+        config=EngineConfig.untuned(optimizer="naive",
                                     buffer_pages=8192)))
         for n in SIZES]
     return {

@@ -45,7 +45,7 @@ SQL = ("SELECT segment, SUM(amount) AS total FROM events "
 
 def main():
     # The "slow" configuration: an untuned engine.
-    engine = Engine(make_db(), EngineConfig.untuned(naive_joins=True,
+    engine = Engine(make_db(), EngineConfig.untuned(optimizer="naive",
                                                     buffer_pages=4096))
 
     print("step 1 — EXPLAIN: what plan runs?")
@@ -71,7 +71,7 @@ def main():
     for n in sizes:
         # Grow BOTH join inputs, or the sweep only sees one linear side.
         probe = Engine(make_db(n_rows=n, n_ref=n // 10),
-                       EngineConfig.untuned(naive_joins=True,
+                       EngineConfig.untuned(optimizer="naive",
                                             buffer_pages=4096))
         probe.execute(SQL)
         start = probe.clock.sample()

@@ -6,9 +6,9 @@ The simulated time is what the tutorial experiments report: it is
 deterministic, calibrated to a 2008-era laptop, and decomposes into user
 (CPU) and system (I/O) shares exactly like the tutorial's tables.
 
-:class:`CostParameters` holds the ns-per-unit constants; the engine's
-*tuned* flag and the DBG/OPT :class:`~repro.hardware.compiler.BuildModel`
-both act through them.
+:class:`CostParameters` holds the ns-per-unit constants; the DBG/OPT
+:class:`~repro.hardware.compiler.BuildModel` scales them per cost
+category.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.db.indexes import HashIndex, IndexCatalog
 from repro.db.costmodel import CostModel
 from repro.db.actuals import PlanActuals
 from repro.db.optimizer import PlannerOptions, count_plan_nodes, plan_statement
-from repro.db.parser import normalize_sql, parse_select, strip_explain
+from repro.db.parser import SelectStatement, normalize_sql, parse_select, strip_explain
 from repro.db.plan import PlanNode
 from repro.db.profiler import ProfileReport, operator_timings
 from repro.db.statistics import DEFAULT_BUCKETS, StatisticsCatalog
@@ -50,19 +50,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultInjector
 
 
+#: The planner behind each ``EngineConfig.optimizer`` value.
+_PLANNER_PROFILES = {
+    "heuristic": PlannerOptions(),
+    "untuned": PlannerOptions.untuned(),
+    "naive": PlannerOptions.naive(),
+    "cost": PlannerOptions.cost(),
+}
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-wide configuration.
 
-    ``tuned=False`` selects the out-of-the-box behaviour of slide 42's
+    :meth:`untuned` selects the out-of-the-box behaviour of slide 42's
     war story: a tiny buffer pool, no optimizer smarts.
     """
 
     buffer_pages: int = 4096
     mode: ExecutionMode = ExecutionMode.COLUMN
     build: BuildModel = field(default_factory=lambda: BuildModel(BuildMode.OPT))
-    tuned: bool = True
-    naive_joins: bool = False
     costs: CostParameters = field(default_factory=CostParameters)
     disk: DiskModel = field(default_factory=DiskModel)
     #: Operator implementation: "loop" (per-row Python, the
@@ -75,9 +82,11 @@ class EngineConfig:
     #: (keyed on normalised SQL + catalog versions).  Off by default so
     #: profiling still observes parse/optimize phases.
     plan_cache: bool = False
-    #: Planner generation: "heuristic" (v1, textual join order) or
-    #: "cost" (v2, join-order enumeration + calibrated operator costs;
-    #: run :meth:`Engine.analyze` first for histogram-backed estimates).
+    #: Planner profile: "heuristic" (v1, textual join order, column
+    #: pruning, pushdown, hash joins), "untuned" (v1 without pruning or
+    #: pushdown), "naive" (untuned with nested-loop joins) or "cost"
+    #: (v2, join-order enumeration + calibrated operator costs; run
+    #: :meth:`Engine.analyze` first for histogram-backed estimates).
     optimizer: str = "heuristic"
     #: Cost coefficients for the v2 planner; None uses the analytic
     #: :data:`~repro.db.costmodel.DEFAULT_COST_MODEL`.  Pass the result
@@ -98,7 +107,7 @@ class EngineConfig:
     radix_bits: Optional[int] = None
 
     VALID_EXECUTORS = ("loop", "vectorized")
-    VALID_OPTIMIZERS = ("heuristic", "cost")
+    VALID_OPTIMIZERS = tuple(_PLANNER_PROFILES)
 
     def __post_init__(self):
         if self.executor not in self.VALID_EXECUTORS:
@@ -116,11 +125,7 @@ class EngineConfig:
                 f"got {self.radix_bits}")
 
     def planner_options(self) -> PlannerOptions:
-        if self.optimizer == "cost":
-            return PlannerOptions.cost()
-        if self.naive_joins:
-            return PlannerOptions.naive()
-        return PlannerOptions() if self.tuned else PlannerOptions.untuned()
+        return _PLANNER_PROFILES[self.optimizer]
 
     @classmethod
     def untuned(cls, **overrides: Any) -> "EngineConfig":
@@ -130,7 +135,7 @@ class EngineConfig:
         conservative": fine for toy data, but once the working set
         exceeds it, repeated sequential scans thrash under LRU.
         """
-        base = cls(buffer_pages=256, tuned=False)
+        base = cls(buffer_pages=256, optimizer="untuned")
         return replace(base, **overrides)
 
 
@@ -301,8 +306,7 @@ class Engine:
         return (normalize_sql(sql), self.database.version,
                 self.indexes.version, self.table_stats.version)
 
-    def _build_plan(self, sql: str) -> PlanNode:
-        statement = parse_select(sql)
+    def _optimize(self, statement: SelectStatement) -> PlanNode:
         return plan_statement(statement, self.database,
                               self.config.planner_options(),
                               indexes=self.indexes,
@@ -313,14 +317,14 @@ class Engine:
     def _plan_cached(self, sql: str) -> Tuple[PlanNode, Optional[bool]]:
         """``(plan, cache_hit)``; hit is None when caching is off."""
         if not self.config.plan_cache:
-            return self._build_plan(sql), None
+            return self._optimize(parse_select(sql)), None
         key = self._cache_key(sql)
         cached = self._plan_cache.get(key)
         if cached is not None:
             self.plan_cache_hits += 1
             return cached, True
         self.plan_cache_misses += 1
-        plan = self._build_plan(sql)
+        plan = self._optimize(parse_select(sql))
         self._plan_cache[key] = plan
         return plan, False
 
@@ -416,12 +420,7 @@ class Engine:
             after_parse = self.clock.sample()
 
             with maybe_span("engine.optimize", "engine"):
-                plan = plan_statement(statement, self.database,
-                                      self.config.planner_options(),
-                                      indexes=self.indexes,
-                                      stats=self.table_stats,
-                                      cost_model=self.config.cost_model,
-                                      cache=self.planner_cache)
+                plan = self._optimize(statement)
                 # The cost-based planner pays per plan it enumerated on
                 # top of the per-node construction cost; heuristic plans
                 # carry no optimizer_info, so their charge is unchanged.
@@ -496,7 +495,6 @@ class Engine:
             "optimizer": config.optimizer,
             "buffer_pages": str(config.buffer_pages),
             "build_mode": config.build.mode.value,
-            "tuned": str(config.tuned),
             "plan_cache": str(config.plan_cache),
             "selection_vectors": str(config.selection_vectors),
             "cost_model": ("calibrated" if config.cost_model is not None

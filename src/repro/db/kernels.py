@@ -752,8 +752,3 @@ def materialize_charged(ctx, batch):
         charge_gather(ctx, batch.rows(), len(batch.base))
         return gather(batch.base, batch.sel)
     return batch
-
-
-def normalize_keys(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Key columns as ndarrays (defensive copy-free passthrough)."""
-    return [np.asarray(c) for c in columns]

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +31,8 @@ from repro.errors import PlanError
 
 
 def _vectorized(ctx) -> bool:
-    """True when the context selects the kernel-based executor.
-
-    ``getattr`` keeps internal delegating contexts (e.g. the nested-loop
-    join's null-cost wrapper) transparent.
-    """
-    return getattr(ctx, "executor", "loop") == "vectorized"
+    """True when the context selects the kernel-based executor."""
+    return ctx.executor == "vectorized"
 
 
 def _kernel_extras(ctx) -> List[str]:
@@ -103,7 +100,7 @@ class SeqScan(PlanNode):
 
     def _verdicts(self, ctx, table):
         """Zone-map verdicts for the pushed-down predicate (or None)."""
-        if self.prune_for is None or not getattr(ctx, "zone_maps", True):
+        if self.prune_for is None or not ctx.zone_maps:
             return None
         from repro.db import zonemaps
         return zonemaps.block_verdicts(table, self.prune_for)
@@ -165,7 +162,7 @@ class SeqScan(PlanNode):
             base = {name: table.column(name).data for name in names}
         if survivors is None:
             return base
-        if _vectorized(ctx) and getattr(ctx, "selection_vectors", False):
+        if _vectorized(ctx) and ctx.selection_vectors:
             # Late materialization: survivors ride as a selection vector
             # until a pipeline breaker gathers the payload columns.
             return kernels.SelBatch(base, survivors)
@@ -277,7 +274,7 @@ class Filter(PlanNode):
             return batch
         base, sel = kernels.split_batch(batch)
         new_sel = np.flatnonzero(mask) if sel is None else sel[mask]
-        if getattr(ctx, "selection_vectors", False):
+        if ctx.selection_vectors:
             return kernels.SelBatch(base, new_sel)
         kernels.charge_gather(ctx, int(new_sel.size), len(base))
         return kernels.gather(base, new_sel)
@@ -349,10 +346,12 @@ class Project(PlanNode):
         return out
 
 
-class HashJoin(PlanNode):
-    """Inner equi-join: build on the right child, probe with the left."""
+class _EquiJoin(PlanNode):
+    """Inner equi-join of two children on pairs of key columns.
 
-    category = "hash"
+    Holds what every join shares: the key pairs and their validation,
+    the EXPLAIN name, the output schema and the row estimate.
+    """
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str]):
@@ -362,26 +361,18 @@ class HashJoin(PlanNode):
                 "join needs equally many (>=1) keys on both sides")
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
-        #: Optional physical-operator-selection override (plan hints /
-        #: cost-based build-side choice); None keeps the estimate rule.
-        self.forced_build_side: Optional[str] = None
 
     def name(self) -> str:
         pairs = ", ".join(f"{l}={r}" for l, r in
                           zip(self.left_keys, self.right_keys))
-        return f"HashJoin({pairs})"
+        return f"{type(self).__name__}({pairs})"
 
     def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
         left = self.children[0].schema(ctx)
         right = self.children[1].schema(ctx)
         out = dict(left)
-        for name, dtype in right.items():
-            if name in out:
-                if name in self.right_keys:
-                    continue  # equal to the left key; keep one copy
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = dtype
+        for name in _right_outputs(left, right, self.right_keys):
+            out[name] = right[name]
         return out
 
     def estimated_rows(self, ctx: ExecutionContext) -> float:
@@ -390,41 +381,143 @@ class HashJoin(PlanNode):
         # Foreign-key-style estimate: output bounded by the probe side.
         return max(left, right) if min(left, right) else 0.0
 
-    def choose_build_side(self, ctx, n_left: int, n_right: int) -> str:
+    def _inputs(self, child_batches: List[Batch]) -> List[Batch]:
+        """The two input batches, checked to carry their join keys."""
+        left, right = child_batches
+        require_columns(left, self.left_keys, self.name() + " (left)")
+        require_columns(right, self.right_keys, self.name() + " (right)")
+        return child_batches
+
+
+def _right_outputs(left, right, right_keys: Sequence[str]) -> List[str]:
+    """The right-side columns a join emits after all of the left's.
+
+    A right key named like a left column holds the same values and is
+    kept once; any other name clash is an error.
+    """
+    names: List[str] = []
+    for name in right:
+        if name not in left:
+            names.append(name)
+        elif name not in right_keys:
+            raise PlanError(f"join would produce duplicate column {name!r}")
+    return names
+
+
+def _equi_join(left: Batch, right: Batch, left_keys: Sequence[str],
+               right_keys: Sequence[str],
+               match: Callable[..., Tuple[np.ndarray, np.ndarray]]
+               ) -> Batch:
+    """The equi-join core every join operator runs.
+
+    *match* pairs up the two sides' key columns and returns the matching
+    ``(left, right)`` row indices in left-major order: a per-row oracle
+    (:func:`_loop_match`, :func:`_merge_loop`) or a kernel
+    (:func:`_kernel_match`, :func:`_merge_kernel`).  The matched rows
+    are then gathered into one batch.
+    """
+    li, ri = match([left[k] for k in left_keys],
+                   [right[k] for k in right_keys])
+    out: Batch = {name: arr[li] for name, arr in left.items()}
+    for name in _right_outputs(left, right, right_keys):
+        out[name] = right[name][ri]
+    return out
+
+
+def _loop_match(left_cols: Sequence[np.ndarray],
+                right_cols: Sequence[np.ndarray], build_side: str
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row hash matching; output pairs are always left-major
+    (left index ascending, right matches ascending) regardless of
+    which side the hash table was built on."""
+    n_left, n_right = len(left_cols[0]), len(right_cols[0])
+    left_idx: List[int] = []
+    right_idx: List[int] = []
+    if build_side == "right":
+        build: Dict[tuple, List[int]] = {}
+        for i in range(n_right):
+            key = tuple(col[i] for col in right_cols)
+            build.setdefault(key, []).append(i)
+        for i in range(n_left):
+            key = tuple(col[i] for col in left_cols)
+            matches = build.get(key)
+            if matches:
+                left_idx.extend([i] * len(matches))
+                right_idx.extend(matches)
+        return (np.asarray(left_idx, dtype=np.int64),
+                np.asarray(right_idx, dtype=np.int64))
+    build = {}
+    for i in range(n_left):
+        key = tuple(col[i] for col in left_cols)
+        build.setdefault(key, []).append(i)
+    for j in range(n_right):
+        key = tuple(col[j] for col in right_cols)
+        matches = build.get(key)
+        if matches:
+            left_idx.extend(matches)
+            right_idx.extend([j] * len(matches))
+    li = np.asarray(left_idx, dtype=np.int64)
+    ri = np.asarray(right_idx, dtype=np.int64)
+    # Probing with the right side emits right-major pairs; restore
+    # the executor's canonical left-major order.
+    order = np.lexsort((ri, li))
+    return li[order], ri[order]
+
+
+def _kernel_match(left_cols: Sequence[np.ndarray],
+                  right_cols: Sequence[np.ndarray],
+                  radix_bits: Optional[int] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Hash matching through the kernels, radix-partitioned on
+    *radix_bits* low bits when given."""
+    left_codes, right_codes = kernels.encode_join_keys(left_cols,
+                                                       right_cols)
+    if radix_bits is None:
+        return kernels.join_match(left_codes, right_codes)
+    return kernels.radix_join_match(left_codes, right_codes, radix_bits)
+
+
+class HashJoin(_EquiJoin):
+    """Inner equi-join: build on the right child, probe with the left."""
+
+    category = "hash"
+    #: Radix bits the matching kernel partitions on (None: no
+    #: partitioning; :class:`RadixHashJoin` sets it per execution).
+    _last_bits: Optional[int] = None
+
+    def __init__(self, left: PlanNode, right: PlanNode,
+                 left_keys: Sequence[str], right_keys: Sequence[str]):
+        super().__init__(left, right, left_keys, right_keys)
+        #: Optional physical-operator-selection override (plan hints /
+        #: cost-based build-side choice); None keeps the estimate rule.
+        self.forced_build_side: Optional[str] = None
+
+    def choose_build_side(self, ctx) -> str:
         """Build the hash table on the estimated-smaller input.
 
-        Ties keep the classic build-right layout.  The internal
-        childless helper (see :class:`NestedLoopJoin`) falls back to
-        actual batch sizes.
+        Ties keep the classic build-right layout.
         """
         if self.forced_build_side is not None:
             return self.forced_build_side
-        if len(self.children) == 2 and ctx is not None:
-            est_left = self.children[0].estimated_rows_safe(ctx)
-            est_right = self.children[1].estimated_rows_safe(ctx)
-        else:
-            est_left, est_right = float(n_left), float(n_right)
+        est_left = self.children[0].estimated_rows_safe(ctx)
+        est_right = self.children[1].estimated_rows_safe(ctx)
         return "left" if est_left < est_right else "right"
 
     def explain_extras(self, ctx) -> List[str]:
         extras = _kernel_extras(ctx)
         build = self.span_extras.get("build_side")
         if build is None and ctx is not None:
-            build = self.choose_build_side(ctx, 0, 0)
+            build = self.choose_build_side(ctx)
         if build is not None:
             extras.append(f"build={build}")
         return extras
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        left, right = child_batches
-        require_columns(left, self.left_keys, self.name() + " (left)")
-        require_columns(right, self.right_keys, self.name() + " (right)")
-        if _vectorized(ctx):
-            left = kernels.materialize_charged(ctx, left)
-            right = kernels.materialize_charged(ctx, right)
+        left, right = (kernels.materialize_charged(ctx, batch)
+                       for batch in self._inputs(child_batches))
         n_left, n_right = batch_rows(left), batch_rows(right)
-        build_side = self.choose_build_side(ctx, n_left, n_right)
+        build_side = self.choose_build_side(ctx)
         n_build = n_left if build_side == "left" else n_right
         self.span_extras["build_side"] = build_side
         # Hash table: roughly one 8-byte slot + entry per build row.
@@ -437,28 +530,18 @@ class HashJoin(PlanNode):
                            ctx.costs.kernel_launch_ns
                            + ctx.costs.vector_join_ns_per_row
                            * (n_left + n_right))
-            self.span_extras["kernel"] = "join.vector"
-            left_codes, right_codes = kernels.encode_join_keys(
-                [left[k] for k in self.left_keys],
-                [right[k] for k in self.right_keys])
-            li, ri = self._vector_match(ctx, left_codes, right_codes)
+            bits = self._last_bits
+            self.span_extras["kernel"] = \
+                "join.vector" if bits is None else "join.radix"
+            match = partial(_kernel_match, radix_bits=bits)
         else:
             ctx.charge_cpu("hash",
                            ctx.costs.hash_build_ns_per_row * n_build)
             ctx.charge_cpu("hash", ctx.costs.hash_probe_ns_per_row
                            * (n_left + n_right - n_build))
-            li, ri = self._loop_match(left, right, n_left, n_right,
-                                      build_side)
-
-        out: Batch = {name: arr[li] for name, arr in left.items()}
-        for name, arr in right.items():
-            if name in out:
-                if name in self.right_keys:
-                    continue
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = arr[ri]
-        return out
+            match = partial(_loop_match, build_side=build_side)
+        return _equi_join(left, right, self.left_keys, self.right_keys,
+                          match)
 
     def _charge_access(self, ctx, n_left: int, n_right: int,
                        n_build: int) -> None:
@@ -469,7 +552,7 @@ class HashJoin(PlanNode):
         build input, so an out-of-cache build pays memory latency on
         (almost) every probe — the effect the radix join removes.
         """
-        cache = getattr(ctx, "cache", None)
+        cache = ctx.cache
         if cache is None:
             return
         working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
@@ -477,51 +560,6 @@ class HashJoin(PlanNode):
         ns += cache.random_accesses(n_left + n_right - n_build,
                                     working_set)
         ctx.charge_cpu("hash", ns)
-
-    def _vector_match(self, ctx, left_codes: np.ndarray,
-                      right_codes: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        return kernels.join_match(left_codes, right_codes)
-
-    def _loop_match(self, left: Batch, right: Batch, n_left: int,
-                    n_right: int, build_side: str
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row hash matching; output pairs are always left-major
-        (left index ascending, right matches ascending) regardless of
-        which side the hash table was built on."""
-        left_key_cols = [left[k] for k in self.left_keys]
-        right_key_cols = [right[k] for k in self.right_keys]
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        if build_side == "right":
-            build: Dict[tuple, List[int]] = {}
-            for i in range(n_right):
-                key = tuple(col[i] for col in right_key_cols)
-                build.setdefault(key, []).append(i)
-            for i in range(n_left):
-                key = tuple(col[i] for col in left_key_cols)
-                matches = build.get(key)
-                if matches:
-                    left_idx.extend([i] * len(matches))
-                    right_idx.extend(matches)
-            return (np.asarray(left_idx, dtype=np.int64),
-                    np.asarray(right_idx, dtype=np.int64))
-        build = {}
-        for i in range(n_left):
-            key = tuple(col[i] for col in left_key_cols)
-            build.setdefault(key, []).append(i)
-        for j in range(n_right):
-            key = tuple(col[j] for col in right_key_cols)
-            matches = build.get(key)
-            if matches:
-                left_idx.extend(matches)
-                right_idx.extend([j] * len(matches))
-        li = np.asarray(left_idx, dtype=np.int64)
-        ri = np.asarray(right_idx, dtype=np.int64)
-        # Probing with the right side emits right-major pairs; restore
-        # the executor's canonical left-major order.
-        order = np.lexsort((ri, li))
-        return li[order], ri[order]
 
 
 class RadixHashJoin(HashJoin):
@@ -544,21 +582,14 @@ class RadixHashJoin(HashJoin):
         #: Forced partition bits (plan-level override); None defers to
         #: the context's ``radix_bits`` and finally to auto-sizing.
         self.radix_bits = radix_bits
-        self._last_bits = 0
-
-    def name(self) -> str:
-        pairs = ", ".join(f"{l}={r}" for l, r in
-                          zip(self.left_keys, self.right_keys))
-        return f"RadixHashJoin({pairs})"
 
     def _bits_for(self, ctx, n_build: int) -> int:
         forced = self.radix_bits if self.radix_bits is not None \
-            else getattr(ctx, "radix_bits", None)
+            else ctx.radix_bits
         if forced is not None:
             return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
-        cache = getattr(ctx, "cache", None)
-        if cache is not None and cache.levels:
-            cache_bytes = cache.levels[-1].size_bytes
+        if ctx.cache is not None and ctx.cache.levels:
+            cache_bytes = ctx.cache.levels[-1].size_bytes
         else:
             from repro.hardware.cache import DEFAULT_CACHE_MODEL
             cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
@@ -567,8 +598,8 @@ class RadixHashJoin(HashJoin):
     def explain_extras(self, ctx) -> List[str]:
         extras = super().explain_extras(ctx)
         bits = self.span_extras.get("radix_bits")
-        if bits is None and ctx is not None and len(self.children) == 2:
-            build = self.choose_build_side(ctx, 0, 0)
+        if bits is None and ctx is not None:
+            build = self.choose_build_side(ctx)
             child = self.children[0 if build == "left" else 1]
             bits = self._bits_for(ctx, int(child.estimated_rows_safe(ctx)))
         if bits is not None:
@@ -593,7 +624,7 @@ class RadixHashJoin(HashJoin):
                 passes * costs.radix_partition_ns_per_row
                 * (n_left + n_right)
                 + (1 << bits) * costs.radix_partition_setup_ns)
-        cache = getattr(ctx, "cache", None)
+        cache = ctx.cache
         if cache is None:
             return
         ns = 0.0
@@ -607,78 +638,32 @@ class RadixHashJoin(HashJoin):
                                     working_set)
         ctx.charge_cpu("hash", ns)
 
-    def _vector_match(self, ctx, left_codes: np.ndarray,
-                      right_codes: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        self.span_extras["kernel"] = "join.radix"
-        return kernels.radix_join_match(left_codes, right_codes,
-                                        self._last_bits)
 
-
-class NestedLoopJoin(PlanNode):
-    """Naive quadratic equi-join; the untuned fallback of the optimizer."""
+class NestedLoopJoin(_EquiJoin):
+    """Naive quadratic equi-join; the "naive" planner profile's join."""
 
     category = "arithmetic"
 
-    def __init__(self, left: PlanNode, right: PlanNode,
-                 left_keys: Sequence[str], right_keys: Sequence[str]):
-        super().__init__([left, right])
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise PlanError(
-                "join needs equally many (>=1) keys on both sides")
-        self.left_keys = tuple(left_keys)
-        self.right_keys = tuple(right_keys)
-
-    def name(self) -> str:
-        pairs = ", ".join(f"{l}={r}" for l, r in
-                          zip(self.left_keys, self.right_keys))
-        return f"NestedLoopJoin({pairs})"
-
-    def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
-        return HashJoin(self.children[0], self.children[1],
-                        self.left_keys, self.right_keys).schema(ctx)
-
-    def estimated_rows(self, ctx: ExecutionContext) -> float:
-        left = self.children[0].estimated_rows(ctx)
-        right = self.children[1].estimated_rows(ctx)
-        return max(left, right) if min(left, right) else 0.0
-
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        left, right = child_batches
+        left, right = self._inputs(child_batches)
         n_left, n_right = batch_rows(left), batch_rows(right)
         # The whole point of this operator: quadratic compare cost.
         ctx.charge_cpu("arithmetic",
                        ctx.costs.filter_ns_per_value * n_left * n_right)
         ctx.charge_tuples(n_left * max(1, n_right) if n_left and n_right
                           else n_left + n_right)
-        # Compute the same result as a hash join (correctness first).
-        helper = HashJoin.__new__(HashJoin)
-        PlanNode.__init__(helper, [])
-        helper.left_keys = self.left_keys
-        helper.right_keys = self.right_keys
-        helper.forced_build_side = None
-        return HashJoin._run(helper, _NullCostContext(ctx), [left, right])
-
-
-class _NullCostContext:
-    """Delegates everything but swallows cost charges (internal reuse)."""
-
-    #: The helper join must not touch the cache model either: the outer
-    #: operator already accounts for its own access pattern.
-    cache = None
-
-    def __init__(self, inner: ExecutionContext):
-        self._inner = inner
-
-    def charge_cpu(self, category: str, ns: float) -> None:
-        pass
-
-    def charge_tuples(self, n_rows: int) -> None:
-        pass
-
-    def __getattr__(self, item):
-        return getattr(self._inner, item)
+        # The result is the hash join's (correctness first).  The
+        # quadratic charge above stands for all of the work, so the
+        # input gather goes uncharged.
+        if _vectorized(ctx):
+            match = _kernel_match
+        else:
+            match = partial(_loop_match, build_side="left"
+                            if n_left < n_right else "right")
+        return _equi_join(kernels.materialize(left),
+                          kernels.materialize(right),
+                          self.left_keys, self.right_keys, match)
 
 
 class AggFunc(enum.Enum):
@@ -898,7 +883,7 @@ class Aggregate(PlanNode):
         return out
 
 
-class MergeJoin(PlanNode):
+class MergeJoin(_EquiJoin):
     """Equi-join by merging two inputs sorted on their keys.
 
     Both children MUST deliver rows sorted ascending on the join keys;
@@ -912,21 +897,7 @@ class MergeJoin(PlanNode):
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_key: str, right_key: str):
-        super().__init__([left, right])
-        self.left_key = left_key
-        self.right_key = right_key
-
-    def name(self) -> str:
-        return f"MergeJoin({self.left_key}={self.right_key})"
-
-    def schema(self, ctx: ExecutionContext) -> Dict[str, DataType]:
-        return HashJoin(self.children[0], self.children[1],
-                        [self.left_key], [self.right_key]).schema(ctx)
-
-    def estimated_rows(self, ctx: ExecutionContext) -> float:
-        left = self.children[0].estimated_rows(ctx)
-        right = self.children[1].estimated_rows(ctx)
-        return max(left, right) if min(left, right) else 0.0
+        super().__init__(left, right, [left_key], [right_key])
 
     @staticmethod
     def _check_sorted(values: np.ndarray, side: str) -> None:
@@ -939,25 +910,18 @@ class MergeJoin(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        left, right = child_batches
-        require_columns(left, [self.left_key], self.name() + " (left)")
-        require_columns(right, [self.right_key], self.name() + " (right)")
-        if _vectorized(ctx):
-            left = kernels.materialize_charged(ctx, left)
-            right = kernels.materialize_charged(ctx, right)
-            lk, rk = kernels.join_key_pair(left[self.left_key],
-                                           right[self.right_key])
-        else:
-            lk, rk = left[self.left_key], right[self.right_key]
+        left, right = (kernels.materialize_charged(ctx, batch)
+                       for batch in self._inputs(child_batches))
+        lk, rk = kernels.join_key_pair(left[self.left_keys[0]],
+                                       right[self.right_keys[0]])
         self._check_sorted(lk, "left")
         self._check_sorted(rk, "right")
         n_left, n_right = len(lk), len(rk)
         ctx.charge_tuples(n_left + n_right)
-        cache = getattr(ctx, "cache", None)
-        if cache is not None:
+        if ctx.cache is not None:
             # Merging is purely sequential: one stream over each input.
             ctx.charge_cpu("sort",
-                           cache.sequential_scan(n_left + n_right, 16))
+                           ctx.cache.sequential_scan(n_left + n_right, 16))
 
         if _vectorized(ctx):
             ctx.charge_cpu("sort",
@@ -965,53 +929,53 @@ class MergeJoin(PlanNode):
                            + ctx.costs.vector_join_ns_per_row
                            * (n_left + n_right))
             self.span_extras["kernel"] = "merge.vector"
-            li, ri = kernels.merge_match(lk, rk)
-            out: Batch = {name: arr[li] for name, arr in left.items()}
-            for name, arr in right.items():
-                if name in out:
-                    if name == self.right_key:
-                        continue
-                    raise PlanError(
-                        f"join would produce duplicate column {name!r}")
-                out[name] = arr[ri]
-            return out
+            match = _merge_kernel
+        else:
+            ctx.charge_cpu("sort", ctx.costs.filter_ns_per_value
+                           * (n_left + n_right))
+            match = _merge_loop
+        return _equi_join(left, right, self.left_keys, self.right_keys,
+                          match)
 
-        ctx.charge_cpu("sort", ctx.costs.filter_ns_per_value
-                       * (n_left + n_right))
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        i = j = 0
-        while i < n_left and j < n_right:
-            if lk[i] < rk[j]:
-                i += 1
-            elif lk[i] > rk[j]:
-                j += 1
-            else:
-                # Collect the full duplicate run on both sides.
-                key = lk[i]
-                i_end = i
-                while i_end < n_left and lk[i_end] == key:
-                    i_end += 1
-                j_end = j
-                while j_end < n_right and rk[j_end] == key:
-                    j_end += 1
-                for a in range(i, i_end):
-                    for b in range(j, j_end):
-                        left_idx.append(a)
-                        right_idx.append(b)
-                i, j = i_end, j_end
 
-        li = np.asarray(left_idx, dtype=np.int64)
-        ri = np.asarray(right_idx, dtype=np.int64)
-        out: Batch = {name: arr[li] for name, arr in left.items()}
-        for name, arr in right.items():
-            if name in out:
-                if name == self.right_key:
-                    continue
-                raise PlanError(
-                    f"join would produce duplicate column {name!r}")
-            out[name] = arr[ri]
-        return out
+def _merge_kernel(left_cols: Sequence[np.ndarray],
+                  right_cols: Sequence[np.ndarray]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge matching through the kernels (coded keys compare by code)."""
+    return kernels.merge_match(*kernels.join_key_pair(left_cols[0],
+                                                      right_cols[0]))
+
+
+def _merge_loop(left_cols: Sequence[np.ndarray],
+                right_cols: Sequence[np.ndarray]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row merge of two key columns sorted ascending."""
+    lk, rk = left_cols[0], right_cols[0]
+    n_left, n_right = len(lk), len(rk)
+    left_idx: List[int] = []
+    right_idx: List[int] = []
+    i = j = 0
+    while i < n_left and j < n_right:
+        if lk[i] < rk[j]:
+            i += 1
+        elif lk[i] > rk[j]:
+            j += 1
+        else:
+            # Collect the full duplicate run on both sides.
+            key = lk[i]
+            i_end = i
+            while i_end < n_left and lk[i_end] == key:
+                i_end += 1
+            j_end = j
+            while j_end < n_right and rk[j_end] == key:
+                j_end += 1
+            for a in range(i, i_end):
+                for b in range(j, j_end):
+                    left_idx.append(a)
+                    right_idx.append(b)
+            i, j = i_end, j_end
+    return (np.asarray(left_idx, dtype=np.int64),
+            np.asarray(right_idx, dtype=np.int64))
 
 
 class Distinct(PlanNode):

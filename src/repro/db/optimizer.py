@@ -3,14 +3,16 @@
 Turns a parsed :class:`~repro.db.parser.SelectStatement` into a physical
 plan.  Two planners coexist:
 
-**v1, heuristic** — quality driven by the engine's ``tuned`` flag,
-deliberately so, to reproduce the tutorial's "factor 2-10 between
-out-of-the-box and tuned configurations" observation (slides 42-45):
+**v1, heuristic** — quality driven by the engine's ``optimizer``
+profile, deliberately so, to reproduce the tutorial's "factor 2-10
+between out-of-the-box and tuned configurations" observation (slides
+42-45):
 
-- *tuned* (default): column pruning on scans, predicate pushdown below
-  joins, hash joins with the build side on the smaller input;
+- *heuristic* (default): column pruning on scans, predicate pushdown
+  below joins, hash joins with the build side on the smaller input;
 - *untuned*: whole-row scans, filters evaluated only after all joins,
-  nested-loop joins in textual order.
+  hash joins in textual order;
+- *naive*: untuned with nested-loop joins.
 
 **v2, cost-based** (``PlannerOptions.cost_based`` or any ``/*+ ... */``
 hint in the statement) — Selinger-style left-deep join-order
@@ -357,6 +359,12 @@ def _join_edges(statement: SelectStatement, database: Database
                     f"{tables}, found in {owners}")
             edges.append((owners[0], a, owners[1], a))
         else:
+            for column in (a, b):
+                if not any(database.table(t).has_column(column)
+                           for t in tables):
+                    raise PlanError(
+                        f"join condition {a}={b}: {column!r} is not a "
+                        f"column of {tables}")
             table_a, __ = database.resolve_column(a, tables)
             table_b, __ = database.resolve_column(b, tables)
             if table_a == table_b:

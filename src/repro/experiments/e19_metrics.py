@@ -55,7 +55,7 @@ def run_e19(sf: float = 0.005, seed: int = 42) -> E19Result:
     tuned = join_microbenchmark(20_000, 2_000, seed=seed)
     untuned = join_microbenchmark(
         20_000, 2_000, seed=seed,
-        config=EngineConfig.untuned(naive_joins=True, buffer_pages=4096))
+        config=EngineConfig.untuned(optimizer="naive", buffer_pages=4096))
     for bench in (tuned, untuned):
         bench.run()  # warm
     t_hash = _timed(tuned)

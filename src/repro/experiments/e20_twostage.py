@@ -58,7 +58,8 @@ class QueryExperiment:
                   else ExecutionMode.TUPLE),
             build=BuildModel(BuildMode.OPT if config["build"] == "opt"
                              else BuildMode.DBG),
-            tuned=(config["tuned"] == "yes"),
+            optimizer=("heuristic" if config["tuned"] == "yes"
+                       else "untuned"),
         )
         engine = Engine(self.database, engine_config)
         sink = FileSink() if config["output"] == "file" else TerminalSink()

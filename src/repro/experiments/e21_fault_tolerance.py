@@ -77,7 +77,8 @@ class FaultyQueryWorkload(Workload):
             buffer_pages=4096 if config["buffer"] == "large" else 8,
             mode=(ExecutionMode.COLUMN if config["mode"] == "column"
                   else ExecutionMode.TUPLE),
-            tuned=(config["tuned"] == "yes"),
+            optimizer=("heuristic" if config["tuned"] == "yes"
+                       else "untuned"),
         )
         engine = Engine(self.database, engine_config, clock=self.clock,
                         faults=self.faults)

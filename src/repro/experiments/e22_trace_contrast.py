@@ -64,9 +64,11 @@ from repro.workloads import generate_tpch, tpch_query
 
 #: The two stacks of the slide-54 contrast.
 TUNED_CONFIG = EngineConfig(buffer_pages=4096,
-                            mode=ExecutionMode.COLUMN, tuned=True)
+                            mode=ExecutionMode.COLUMN,
+                            optimizer="heuristic")
 UNTUNED_CONFIG = EngineConfig(buffer_pages=8,
-                              mode=ExecutionMode.TUPLE, tuned=False)
+                              mode=ExecutionMode.TUPLE,
+                              optimizer="untuned")
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,7 @@ def _traced_query(database, sql: str, label: str,
     """
     clock = VirtualClock()
     engine = Engine(database, config, clock=clock)
+    tuned = config.optimizer != "untuned"
     client = Client(engine, FileSink())
     client.run(sql)  # warm-up, untraced
     engine.buffer_pool.reset_statistics()
@@ -176,13 +179,13 @@ def _traced_query(database, sql: str, label: str,
         with tracer.span(f"contrast.{label}", "contrast",
                          mode=config.mode.value,
                          buffer_pages=config.buffer_pages,
-                         tuned=config.tuned):
+                         tuned=tuned):
             client.run(sql)
     trace = tracer.trace()
     stats = engine.statistics()
     description = (f"{config.mode.value} mode, "
                    f"{config.buffer_pages} buffer pages, "
-                   f"{'tuned' if config.tuned else 'untuned'}")
+                   f"{'tuned' if tuned else 'untuned'}")
     return ContrastRun(
         label=label,
         config=description,

@@ -127,6 +127,20 @@ class TestPlanning:
             plan_statement(stmt, sample_db())
 
 
+@pytest.mark.parametrize("executor", EngineConfig.VALID_EXECUTORS)
+@pytest.mark.parametrize("optimizer", EngineConfig.VALID_OPTIMIZERS)
+@pytest.mark.parametrize("condition", ["ckey = NULL", "NULL = cid",
+                                       "ckey = nosuch"])
+def test_join_on_a_non_column_is_a_plan_error(executor, optimizer,
+                                              condition):
+    """Every planner rejects a join side that names no column with the
+    same typed error (the cost planner used to raise CatalogError)."""
+    engine = Engine(sample_db(), EngineConfig(executor=executor,
+                                              optimizer=optimizer))
+    with pytest.raises(PlanError):
+        engine.execute(f"SELECT okey FROM orders JOIN cust ON {condition}")
+
+
 def repr_tree(plan):
     return "\n".join(node.name() for node in plan.walk())
 
@@ -157,7 +171,7 @@ class TestEngineExecution:
                "JOIN cust ON ckey = cid WHERE price > 10 GROUP BY segment")
         db_big = sample_db(n=5000, n_cust=200)
         tuned = Engine(db_big, EngineConfig())
-        untuned = Engine(db_big, EngineConfig.untuned(naive_joins=True,
+        untuned = Engine(db_big, EngineConfig.untuned(optimizer="naive",
                                                       buffer_pages=4096))
 
         def hot_time(engine):

@@ -41,7 +41,8 @@ class ConfiguredQueryWorkload(Workload):
         self.engine = Engine(self.database, EngineConfig(
             mode=(ExecutionMode.COLUMN if config["mode"] == "column"
                   else ExecutionMode.TUPLE),
-            tuned=(config["tuned"] == "yes")))
+            optimizer=("heuristic" if config["tuned"] == "yes"
+                       else "untuned")))
         self.engine.execute(tpch_query(6))  # establish the hot state
 
     def run(self):

@@ -7,6 +7,8 @@ configurations and demand bit-identical results, plus oracle checks of
 random WHERE clauses against plain-Python evaluation.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +46,7 @@ CONFIGS = {
     "tuple-mode": EngineConfig(mode=ExecutionMode.TUPLE),
     "dbg-build": EngineConfig(build=BuildModel(BuildMode.DBG)),
     "untuned": EngineConfig.untuned(),
-    "naive-joins": EngineConfig.untuned(naive_joins=True,
+    "naive-joins": EngineConfig.untuned(optimizer="naive",
                                         buffer_pages=4096),
     "tiny-buffer": EngineConfig(buffer_pages=4),
 }
@@ -85,6 +87,44 @@ class TestTpchInvariance:
         a = Engine(generate_tpch(sf=SF, seed=42)).execute(tpch_query(6))
         b = Engine(generate_tpch(sf=SF, seed=42)).execute(tpch_query(6))
         assert a.rows == b.rows
+
+
+#: sha256 over (rows, simulated real seconds, peak memory bytes) of the
+#: 22 TPC-H queries run in order on one engine per configuration.  A
+#: refactor of the planner or the operators must leave every digest
+#: alone: simulated time is part of the experiments' published output.
+SIMULATED_DIGESTS = {
+    ("loop", "heuristic"):
+        "b527c414a4cec8809a5a1b62a4977ed23b182ed82604e69f3ec020b7962cacee",
+    ("loop", "untuned"):
+        "63a9eb3f74cda1619cb0ad8feb158b43ac420189e3cd6429fd13a2131bb837ba",
+    ("loop", "naive"):
+        "4d3c98b79a8eb2091a468de1b6ab2b36b4530295ea418e679ace20bcdf8f75ef",
+    ("loop", "cost"):
+        "ee24235b1541e7d318555ea429b437a1bc335215647932645da10ee1b5f41038",
+    ("vectorized", "heuristic"):
+        "fcf982c7a43eac540894cf4fb6eee518839473831e8df0f643d286fd4a3d47ff",
+    ("vectorized", "untuned"):
+        "526622d93dada10cb8d80cb9a5895b5b7a5bdf1b28466342847e622f220dabed",
+    ("vectorized", "naive"):
+        "2630fcbe092d990651389b6fd55cf2e419deb2b03d8bce45f61445559bab6283",
+    ("vectorized", "cost"):
+        "5c149dc4b38106078faf9dda762fc0055fbc59b187c6490b9ab970c1103d8f16",
+}
+
+
+class TestSimulatedTimePinned:
+    @pytest.mark.parametrize("executor, optimizer", list(SIMULATED_DIGESTS))
+    def test_tpch_digest(self, tpch_db, executor, optimizer):
+        engine = Engine(tpch_db, EngineConfig(executor=executor,
+                                              optimizer=optimizer))
+        digest = hashlib.sha256()
+        for query in all_query_numbers():
+            result = engine.execute(tpch_query(query))
+            digest.update(repr((result.rows, result.server_time.real,
+                                result.peak_memory_bytes)).encode())
+        assert digest.hexdigest() == \
+            SIMULATED_DIGESTS[(executor, optimizer)]
 
 
 @st.composite

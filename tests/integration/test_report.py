@@ -1,5 +1,7 @@
 """Tests for the one-command report regeneration (slide 234)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.report import main, regenerate
@@ -32,6 +34,17 @@ class TestRegenerate:
     def test_bodies_nonempty(self, outcome):
         __, sections = outcome
         assert all(len(s.body) > 40 for s in sections)
+
+
+    def test_bodies_pinned(self, outcome):
+        """Every deterministic section is byte-identical to the recorded
+        report.  E15 prints a temporary path and E18 host wall-clock
+        medians, so both are left out."""
+        __, sections = outcome
+        body = "\n".join(s.body for s in sections
+                         if s.experiment not in {"E15", "E18"})
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "e10eb81d62b3dbbe4b0b1c729c4db7ffe0c22fb6a24fc46fbde1f5da249251be")
 
 
 class TestMain:
