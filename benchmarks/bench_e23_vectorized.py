@@ -91,8 +91,9 @@ def test_e23_kernel_join_match(benchmark, report):
     rng = np.random.default_rng(7)
     left = rng.integers(0, 500, size=_JOIN_ROWS)
     right = np.arange(500, dtype=np.int64)
-    left_codes, right_codes = kernels.encode_join_keys([left], [right])
-    li, ri = benchmark(kernels.join_match, left_codes, right_codes)
+    left_codes, right_codes, n_codes = kernels.encode_join_keys([left],
+                                                                [right])
+    li, ri = benchmark(kernels.join_match, left_codes, right_codes, n_codes)
     report(f"join_match pairs={li.size}")
     assert li.size == ri.size > 0
 

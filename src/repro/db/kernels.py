@@ -13,23 +13,28 @@ Kernel inventory
   take a sort-free dense remap (present-mask + ``cumsum``); only wide
   ranges, floats and raw strings fall back to ``np.unique``;
 - :func:`encode_join_keys` — the same encoding applied jointly to both
-  sides of an equi-join, so equal keys get equal codes across sides;
+  sides of an equi-join, so equal keys get equal codes across sides
+  (returned with their count: the codes are dense);
 - :func:`join_match` — counting-based equi-join matching emitting
   ``(left_idx, right_idx)`` gather arrays, left-major like the loop
   executor (``bincount``/``cumsum`` run offsets plus a stable LSD
   radix sort over 16-bit digits: one pass for up to 65,536 keys);
+  given the code count of dense codes it skips its key remap;
 - :func:`merge_match` — the already-sorted variant (no argsort pass);
 - :func:`radix_partition` / :func:`radix_join_match` — low-bit
   partitioning (a 16-bit radix sort) and the partition-wise join;
-- :func:`grouped_reduce` — grouped SUM/MIN/MAX via the same radix sort
-  + ``np.add.reduceat`` / ``np.minimum.reduceat`` /
+- :func:`group_runs` / :func:`grouped_reduce` — grouped SUM/MIN/MAX:
+  the group ids' stable order (the same radix sort) and run starts,
+  computed once and shared by every reduction, then
+  ``np.add.reduceat`` / ``np.minimum.reduceat`` /
   ``np.maximum.reduceat``;
 - :func:`group_count` / :func:`group_first_index` — grouped COUNT and
   first-occurrence representative rows;
 - :func:`first_occurrence_order` — DISTINCT keeping loop-identical
   first-occurrence row order;
 - :func:`compile_expr` — expression compilation with a process-wide
-  cache keyed by the (frozen, hashable) expression tree.
+  cache keyed by the (frozen, hashable) expression tree; a predicate
+  over one coded column is evaluated in dictionary space.
 
 Selection vectors and coded columns
 -----------------------------------
@@ -43,9 +48,11 @@ engine's materialisation phase gather exactly once via
 :class:`CodedColumn` is a dictionary-encoded string column in flight:
 the scan's int codes plus the sorted dictionary, both shared with
 storage.  Gathers move codes; grouping, DISTINCT, sort keys and join
-keys work on the codes (sorted dictionary: code order is value order);
-values are decoded (:func:`decode`, :func:`decoded_view`) only where an
-expression or the result needs them.
+keys work on the codes (sorted dictionary: code order is value order).
+A predicate over one coded column runs once per dictionary entry and
+gathers the outcome by code; values are decoded (:func:`decode`) only
+where another expression or the result needs them, at most once per
+column.
 
 Every kernel runs under a ``maybe_span(..., category="kernel")`` so
 traces and flamegraphs attribute execution time to individual kernels
@@ -54,7 +61,7 @@ traces and flamegraphs attribute execution time to individual kernels
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +87,6 @@ __all__ = [
     "SelBatch",
     "compile_expr",
     "decode",
-    "decoded_view",
     "dict_encode",
     "encode_join_keys",
     "expression_cache_clear",
@@ -89,6 +95,7 @@ __all__ = [
     "gather",
     "group_count",
     "group_first_index",
+    "group_runs",
     "grouped_reduce",
     "join_key_pair",
     "join_match",
@@ -166,14 +173,16 @@ class CodedColumn:
     shared with :class:`~repro.db.storage.Dictionary`, never copied).
     Indexing gathers codes only, so joins and selections move integers
     instead of Python string objects; :meth:`decode` materialises the
-    values where an expression or the result needs them.
+    values where an expression or the result needs them, at most once
+    per column (the decoded array is kept for later reads).
     """
 
-    __slots__ = ("codes", "values")
+    __slots__ = ("codes", "values", "_decoded")
 
     def __init__(self, codes: np.ndarray, values: np.ndarray):
         self.codes = codes
         self.values = values
+        self._decoded: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -182,7 +191,9 @@ class CodedColumn:
         return CodedColumn(self.codes[index], self.values)
 
     def decode(self) -> np.ndarray:
-        return self.values[self.codes]
+        if self._decoded is None:
+            self._decoded = self.values[self.codes]
+        return self._decoded
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CodedColumn({len(self)} rows, {len(self.values)} values)"
@@ -193,20 +204,6 @@ def decode(column):
     if isinstance(column, CodedColumn):
         return column.decode()
     return column
-
-
-def decoded_view(batch: Dict[str, np.ndarray], names: Iterable[str]):
-    """*batch* with the coded columns among *names* decoded.
-
-    Returns *batch* itself when none of them is coded.
-    """
-    coded = [n for n in names if isinstance(batch.get(n), CodedColumn)]
-    if not coded:
-        return batch
-    view = dict(batch)
-    for name in coded:
-        view[name] = view[name].decode()
-    return view
 
 
 def value_width(column) -> int:
@@ -349,11 +346,13 @@ def join_key_pair(left, right) -> Tuple[np.ndarray, np.ndarray]:
 
 def encode_join_keys(left_cols: Sequence[np.ndarray],
                      right_cols: Sequence[np.ndarray]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+                     ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Comparable composite codes for the two sides of an equi-join.
 
     Each key position's left and right columns are concatenated before
     encoding, so a key value present on both sides maps to one code.
+    Returns ``(left_codes, right_codes, n_codes)``: the codes of both
+    sides together are dense in ``[0, n_codes)``.
     """
     if len(left_cols) != len(right_cols) or not left_cols:
         raise PlanError(
@@ -361,8 +360,8 @@ def encode_join_keys(left_cols: Sequence[np.ndarray],
     n_left = len(left_cols[0])
     combined = [np.concatenate(join_key_pair(l, r))
                 for l, r in zip(left_cols, right_cols)]
-    codes, __ = dict_encode(combined)
-    return codes[:n_left], codes[n_left:]
+    codes, n_codes = dict_encode(combined)
+    return codes[:n_left], codes[n_left:], n_codes
 
 
 def _empty_pairs() -> Tuple[np.ndarray, np.ndarray]:
@@ -370,7 +369,8 @@ def _empty_pairs() -> Tuple[np.ndarray, np.ndarray]:
     return empty, empty.copy()
 
 
-def join_match(left_codes: np.ndarray, right_codes: np.ndarray
+def join_match(left_codes: np.ndarray, right_codes: np.ndarray,
+               n_codes: Optional[int] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left, right) index pairs with equal codes, left-major.
 
@@ -379,7 +379,8 @@ def join_match(left_codes: np.ndarray, right_codes: np.ndarray
     ascending (the stable argsort keeps equal codes in input order).
     Keys are remapped densely (:func:`dict_encode`'s sort-free path for
     bounded ranges); ``bincount``/``cumsum`` give each key's run of
-    right rows.
+    right rows.  Codes already dense in ``[0, n_codes)`` (the
+    :func:`encode_join_keys` output, with its count) skip the remap.
     """
     with maybe_span("kernel.join_match", "kernel",
                     left=int(left_codes.size),
@@ -387,9 +388,12 @@ def join_match(left_codes: np.ndarray, right_codes: np.ndarray
         n_left = left_codes.size
         if n_left == 0 or right_codes.size == 0:
             return _empty_pairs()
-        keys, n_keys = _unique_inverse(
-            np.concatenate([left_codes, right_codes]))
-        left_keys, right_keys = keys[:n_left], keys[n_left:]
+        if n_codes is None:
+            keys, n_keys = _unique_inverse(
+                np.concatenate([left_codes, right_codes]))
+            left_keys, right_keys = keys[:n_left], keys[n_left:]
+        else:
+            left_keys, right_keys, n_keys = left_codes, right_codes, n_codes
         run_lengths = np.bincount(right_keys, minlength=n_keys)
         run_starts = np.cumsum(run_lengths) - run_lengths
         counts = run_lengths[left_keys]
@@ -546,12 +550,38 @@ def radix_join_match(left_codes: np.ndarray, right_codes: np.ndarray,
 _REDUCE_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
+def group_runs(group_ids: np.ndarray, n_groups: int
+               ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """``(order, starts)`` shared by every :func:`grouped_reduce` over
+    the same dense ``group_ids``: their stable order (radix-sorted) and
+    the position in it where each group's run begins.
+
+    One group's stable order is the identity, so it is not sorted and
+    ``order`` is None.
+    """
+    if n_groups == 1:
+        return None, np.zeros(1, dtype=np.int64)
+    group_ids = np.asarray(group_ids)
+    sizes = np.bincount(group_ids, minlength=n_groups)
+    if len(sizes) != n_groups or not sizes.all():
+        raise PlanError(
+            f"group ids are not dense: {np.count_nonzero(sizes)} distinct "
+            f"ids for {n_groups} declared groups")
+    starts = np.cumsum(sizes) - sizes
+    return _stable_order(group_ids), starts
+
+
 def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
-                   n_groups: int, op: str) -> np.ndarray:
+                   n_groups: int, op: str,
+                   runs: Optional[Tuple[Optional[np.ndarray],
+                                        np.ndarray]] = None
+                   ) -> np.ndarray:
     """Per-group reduction via stable argsort + ``ufunc.reduceat``.
 
     ``group_ids`` must be dense (:func:`dict_encode` output): every id
-    in ``[0, n_groups)`` occurs at least once.
+    in ``[0, n_groups)`` occurs at least once.  ``runs`` is their
+    :func:`group_runs`, computed here when not given; an Aggregate
+    computes it once for all of its reductions.
     """
     try:
         ufunc = _REDUCE_UFUNCS[op]
@@ -563,16 +593,12 @@ def grouped_reduce(values: np.ndarray, group_ids: np.ndarray,
                     rows=int(len(values)), groups=n_groups, op=op):
         if n_groups == 0:
             return np.zeros(0, dtype=np.float64)
-        order = _stable_order(np.asarray(group_ids))
-        sorted_values = np.asarray(values, dtype=np.float64)[order]
-        sorted_ids = np.asarray(group_ids)[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
-        if len(starts) != n_groups:
-            raise PlanError(
-                f"group ids are not dense: {len(starts)} distinct ids "
-                f"for {n_groups} declared groups")
-        return ufunc.reduceat(sorted_values, starts)
+        order, starts = runs if runs is not None \
+            else group_runs(group_ids, n_groups)
+        values = np.asarray(values, dtype=np.float64)
+        if order is not None:
+            values = values[order]
+        return ufunc.reduceat(values, starts)
 
 
 def group_count(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
@@ -638,6 +664,10 @@ def compile_expr(expr: Expr) -> CompiledExpr:
     the cached closure (expressions are frozen dataclasses, hence
     hashable and safe cache keys).  Semantics mirror
     :meth:`~repro.db.expressions.Expr.evaluate` exactly.
+
+    The batch may hold :class:`CodedColumn` values.  A predicate over
+    one coded column runs in dictionary space (:func:`_over_dictionary`);
+    anywhere else a column reference decodes its column on first read.
     """
     global _expr_cache_hits, _expr_cache_misses
     try:
@@ -653,18 +683,49 @@ def compile_expr(expr: Expr) -> CompiledExpr:
     return compiled
 
 
-def _build_compiled(expr: Expr) -> CompiledExpr:
-    if isinstance(expr, ColumnRef):
-        name = expr.name
+#: Predicate nodes that :func:`_over_dictionary` can evaluate once per
+#: dictionary entry when their only column is coded.
+_DICTIONARY_PREDICATES = (Comparison, Between, InList, Like, Not, BoolOp)
 
-        def read_column(batch, name=name):
-            try:
-                return batch[name]
-            except KeyError:
-                raise PlanError(
-                    f"column {name!r} not in batch "
-                    f"({sorted(batch)})") from None
-        return read_column
+
+def _read_column(batch, name: str):
+    try:
+        return batch[name]
+    except KeyError:
+        raise PlanError(
+            f"column {name!r} not in batch ({sorted(batch)})") from None
+
+
+def _over_dictionary(name: str, evaluate: CompiledExpr) -> CompiledExpr:
+    """*evaluate*, a predicate over column *name* alone, in dictionary
+    space: when the column is coded, the predicate runs once per
+    dictionary entry and each row gathers its entry's outcome by code.
+
+    A dictionary larger than the rows, or an empty input, is evaluated
+    over the rows instead (cheaper, and an empty input must not raise on
+    dictionary values the row path never sees).
+    """
+    def predicate(batch):
+        column = _read_column(batch, name)
+        if isinstance(column, CodedColumn) \
+                and 0 < len(column.values) <= len(column.codes):
+            mask = np.asarray(evaluate({name: column.values}), dtype=bool)
+            return mask[column.codes]
+        return evaluate(batch)
+    return predicate
+
+
+def _build_compiled(expr: Expr) -> CompiledExpr:
+    evaluate = _build_row_compiled(expr)
+    columns = expr.columns()
+    if isinstance(expr, _DICTIONARY_PREDICATES) and len(columns) == 1:
+        return _over_dictionary(next(iter(columns)), evaluate)
+    return evaluate
+
+
+def _build_row_compiled(expr: Expr) -> CompiledExpr:
+    if isinstance(expr, ColumnRef):
+        return lambda batch, name=expr.name: decode(_read_column(batch, name))
     if isinstance(expr, Literal):
         return expr.evaluate  # already cheap; dtype resolved inside
     if isinstance(expr, Arithmetic):

@@ -45,16 +45,17 @@ def _kernel_extras(ctx) -> List[str]:
 def _predicate_view(batch, columns: Sequence[str], n: int,
                     ctx) -> Batch:
     """The columns an expression needs, gathered if *batch* carries a
-    selection vector and decoded if they are coded.  Expressions over
-    no columns (pure literals) get a carrier column so their result
-    still has *n* rows."""
+    selection vector (coded columns stay coded: the compiled expression
+    decodes them only where it must).  Expressions over no columns
+    (pure literals) get a carrier column so their result still has *n*
+    rows."""
     base, sel = kernels.split_batch(batch)
     if not columns:
         return {"__rows__": np.zeros(n, dtype=np.int8)}
     if sel is not None:
         kernels.charge_gather(ctx, n, len(columns))
         base = kernels.gather(base, sel, list(columns))
-    return kernels.decoded_view(base, columns)
+    return base
 
 
 class SeqScan(PlanNode):
@@ -416,12 +417,41 @@ def _equi_join(left: Batch, right: Batch, left_keys: Sequence[str],
     (:func:`_kernel_match`, :func:`_merge_kernel`).  The matched rows
     are then gathered into one batch.
     """
-    li, ri = match([left[k] for k in left_keys],
-                   [right[k] for k in right_keys])
+    left_cols = [left[k] for k in left_keys]
+    right_cols = [right[k] for k in right_keys]
+    # NULL (NaN) equals nothing, itself included: NULL-keyed rows take
+    # no part in matching (and cannot stall a merge).
+    left_rows = _non_null_rows(left_cols)
+    right_rows = _non_null_rows(right_cols)
+    if left_rows is not None:
+        left_cols = [col[left_rows] for col in left_cols]
+    if right_rows is not None:
+        right_cols = [col[right_rows] for col in right_cols]
+    li, ri = match(left_cols, right_cols)
+    if left_rows is not None:
+        li = left_rows[li]
+    if right_rows is not None:
+        ri = right_rows[ri]
     out: Batch = {name: arr[li] for name, arr in left.items()}
     for name in _right_outputs(left, right, right_keys):
         out[name] = right[name][ri]
     return out
+
+
+def _non_null_rows(key_cols) -> Optional[np.ndarray]:
+    """Rows whose keys are all non-NULL, or None when no key is NULL.
+
+    Only FLOAT64 columns can hold NULL (NaN); integer, date and string
+    keys are never scanned.
+    """
+    null = None
+    for col in key_cols:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            col_null = np.isnan(col)
+            null = col_null if null is None else null | col_null
+    if null is None or not null.any():
+        return None
+    return np.flatnonzero(~null)
 
 
 def _loop_match(left_cols: Sequence[np.ndarray],
@@ -470,10 +500,10 @@ def _kernel_match(left_cols: Sequence[np.ndarray],
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Hash matching through the kernels, radix-partitioned on
     *radix_bits* low bits when given."""
-    left_codes, right_codes = kernels.encode_join_keys(left_cols,
-                                                       right_cols)
+    left_codes, right_codes, n_codes = kernels.encode_join_keys(
+        left_cols, right_cols)
     if radix_bits is None:
-        return kernels.join_match(left_codes, right_codes)
+        return kernels.join_match(left_codes, right_codes, n_codes)
     return kernels.radix_join_match(left_codes, right_codes, radix_bits)
 
 
@@ -805,10 +835,15 @@ class Aggregate(PlanNode):
         else:
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
+        # Every SUM/AVG/MIN/MAX reduces over one shared group order.
+        runs = None
+        if n and any(func is not AggFunc.COUNT
+                     for func, __, __ in self.aggregates):
+            runs = kernels.group_runs(group_ids, n_groups)
 
         for func, expr, alias in self.aggregates:
             values = self._aggregate_vectorized(func, expr, batch,
-                                                group_ids, n_groups)
+                                                group_ids, n_groups, runs)
             if func is AggFunc.COUNT:
                 values = values.astype(np.int64)
             elif func is not AggFunc.AVG and expr is not None \
@@ -820,13 +855,12 @@ class Aggregate(PlanNode):
     @staticmethod
     def _aggregate_vectorized(func: AggFunc, expr: Optional[Expr],
                               batch: Batch, group_ids: np.ndarray,
-                              n_groups: int) -> np.ndarray:
+                              n_groups: int, runs) -> np.ndarray:
         if n_groups == 0:
             return np.zeros(0, dtype=np.float64)
         if func is AggFunc.COUNT:
             return kernels.group_count(group_ids, n_groups)
-        view = kernels.decoded_view(batch, expr.columns())
-        values = np.asarray(kernels.compile_expr(expr)(view),
+        values = np.asarray(kernels.compile_expr(expr)(batch),
                             dtype=np.float64)
         if values.size == 0:
             # Only the global aggregate reaches here with zero rows
@@ -837,17 +871,18 @@ class Aggregate(PlanNode):
             return np.full(n_groups, fill, dtype=np.float64)
         if func is AggFunc.SUM:
             return kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum")
+                                          n_groups, "sum", runs)
         if func is AggFunc.AVG:
             sums = kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum")
+                                          n_groups, "sum", runs)
             counts = kernels.group_count(group_ids, n_groups)
             return sums / np.maximum(counts, 1)
         op = "min" if func is AggFunc.MIN else "max"
-        return kernels.grouped_reduce(values, group_ids, n_groups, op)
+        return kernels.grouped_reduce(values, group_ids, n_groups, op,
+                                      runs)
 
     def _group(self, batch: Batch, n: int):
-        key_cols = [batch[k] for k in self.group_by]
+        key_cols = _null_safe_keys([batch[k] for k in self.group_by])
         group_keys: Dict[tuple, int] = {}
         group_ids = np.empty(n, dtype=np.int64)
         for i in range(n):
@@ -881,6 +916,26 @@ class Aggregate(PlanNode):
         ufunc = np.minimum if func is AggFunc.MIN else np.maximum
         ufunc.at(out, group_ids, values)
         return out
+
+
+#: The one NULL key of per-row grouping: NaN never equals itself, but
+#: dict lookups check identity first, so a shared NaN object matches.
+_NULL_KEY = float("nan")
+
+
+def _null_safe_keys(columns: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """*columns* ready for per-row tuple keys that put every NULL in one
+    group: a FLOAT64 column holding NULLs (NaN) is recast to objects
+    with :data:`_NULL_KEY` in their place.  Other columns pass as is."""
+    out = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            null = np.isnan(col)
+            if null.any():
+                col = col.astype(object)
+                col[null] = _NULL_KEY
+        out.append(col)
+    return out
 
 
 class MergeJoin(_EquiJoin):
@@ -1016,11 +1071,11 @@ class Distinct(PlanNode):
         n = batch_rows(batch)
         ctx.charge_cpu("hash", ctx.costs.group_ns_per_row * n)
         ctx.charge_tuples(n)
-        columns = list(batch)
+        columns = _null_safe_keys(list(batch.values()))
         seen: Dict[tuple, None] = {}
         keep: List[int] = []
         for i in range(n):
-            key = tuple(batch[c][i] for c in columns)
+            key = tuple(col[i] for col in columns)
             if key not in seen:
                 seen[key] = None
                 keep.append(i)

@@ -136,10 +136,15 @@ class ColumnStats:
                        n_distinct=ndv)
         values = data.astype(np.float64)
         ndv = int(np.unique(data).size) if n else 0
+        if data.dtype.kind == "f":
+            # Bounds and buckets describe the non-NULL (non-NaN) values;
+            # an all-NULL column gets no bounds and an empty histogram.
+            values = values[~np.isnan(values)]
+        present = values.size > 0
         return cls(name=name, dtype=column.dtype, n_rows=n,
                    n_distinct=ndv,
-                   min_value=float(values.min()) if n else None,
-                   max_value=float(values.max()) if n else None,
+                   min_value=float(values.min()) if present else None,
+                   max_value=float(values.max()) if present else None,
                    histogram=Histogram.build(values, n_buckets))
 
     # -- selectivity -------------------------------------------------------

@@ -68,14 +68,14 @@ class TestDictEncode:
 
 class TestJoinMatch:
     def test_left_major_duplicates(self):
-        lc, rc = kernels.encode_join_keys(
+        lc, rc, __ = kernels.encode_join_keys(
             [np.array([5, 7, 5])], [np.array([5, 5, 9])])
         li, ri = kernels.join_match(lc, rc)
         np.testing.assert_array_equal(li, [0, 0, 2, 2])
         np.testing.assert_array_equal(ri, [0, 1, 0, 1])
 
     def test_no_matches(self):
-        lc, rc = kernels.encode_join_keys(
+        lc, rc, __ = kernels.encode_join_keys(
             [np.array([1, 2])], [np.array([3, 4])])
         li, ri = kernels.join_match(lc, rc)
         assert li.size == ri.size == 0
@@ -85,7 +85,7 @@ class TestJoinMatch:
         left = np.sort(rng.integers(0, 40, size=200))
         right = np.sort(rng.integers(0, 40, size=150))
         li_m, ri_m = kernels.merge_match(left, right)
-        lc, rc = kernels.encode_join_keys([left], [right])
+        lc, rc, __ = kernels.encode_join_keys([left], [right])
         li_h, ri_h = kernels.join_match(lc, rc)
         np.testing.assert_array_equal(li_m, li_h)
         np.testing.assert_array_equal(ri_m, ri_h)

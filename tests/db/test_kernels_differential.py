@@ -9,7 +9,13 @@ grouped queries compare as sorted row sets.
 
 The second half checks the kernels' sort-free paths (dense remap,
 counting join, radix sort) against the ``np.unique`` / ``searchsorted``
-implementations they replaced: outputs must be byte-identical.
+implementations they replaced: outputs must be byte-identical.  The
+last part checks the work-sharing paths the same way: predicates over a
+coded column evaluated in dictionary space against row-space evaluation
+of the decoded values, reductions over one shared group order against
+per-call :func:`~repro.db.kernels.grouped_reduce`, and
+:func:`~repro.db.kernels.join_match` given the dense code count against
+its own remap.
 """
 
 import math
@@ -18,6 +24,16 @@ import numpy as np
 import pytest
 
 from repro.db import DataType, Database, Engine, EngineConfig, Table, kernels
+from repro.db.expressions import (
+    Between,
+    BoolOp,
+    ColumnRef,
+    Comparison,
+    InList,
+    Like,
+    Literal,
+    Not,
+)
 
 
 def _engines(db):
@@ -368,6 +384,201 @@ class TestCountingJoin:
             np.array([0, 1, 2, 1]), np.array(["a", "c", "e"], dtype=object))
         right = kernels.CodedColumn(
             np.array([0, 1, 2]), np.array(["c", "d", "e"], dtype=object))
-        lk, rk = kernels.encode_join_keys([left], [right])
+        lk, rk, __ = kernels.encode_join_keys([left], [right])
         li, ri = kernels.join_match(lk, rk)
         assert list(zip(li, ri)) == [(1, 0), (2, 2), (3, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Dictionary-space predicates, shared group order, dense join codes
+# ---------------------------------------------------------------------------
+
+S, T, N = ColumnRef("s"), ColumnRef("t"), ColumnRef("n")
+
+PREDICATES = {
+    "eq": Comparison("=", S, Literal("cat")),
+    "ne": Comparison("<>", S, Literal("cat")),
+    "lt": Comparison("<", S, Literal("dog")),
+    "le": Comparison("<=", S, Literal("dog")),
+    "gt": Comparison(">", S, Literal("dog")),
+    "ge": Comparison(">=", S, Literal("dog")),
+    "literal_first": Comparison(">", Literal("dog"), S),
+    "between": Between(S, Literal("bee"), Literal("eel")),
+    "in": InList(S, ("ant", "eel", "zebra")),
+    "not_in": Not(InList(S, ("ant", "eel", "zebra"))),
+    "like": Like(S, "%a%"),
+    "not_like": Not(Like(S, "c_t%")),
+    "or_one_column": BoolOp("or", (Comparison("=", S, Literal("ant")),
+                                   Like(S, "e%"))),
+    "two_coded_columns": Comparison("<", S, T),
+    "coded_and_int": BoolOp("and", (Like(S, "%o%"),
+                                    Comparison(">", N, Literal(3)))),
+}
+
+WORDS = np.array(sorted({"ant", "bee", "cat", "catfish", "cow", "dog",
+                         "eel", "emu", "fox", "gnu", "owl", "yak"}),
+                 dtype=object)
+
+
+def _coded_batch(n, n_values=len(WORDS), seed=0):
+    """*n* rows: coded ``s`` over a dictionary of *n_values* words,
+    coded ``t`` over another (smaller) dictionary, and int ``n``."""
+    rng = np.random.default_rng(seed)
+    # WORDS first, then WORDS suffixed 1, 2, ... until n_values.
+    s_values = np.array(sorted(
+        f"{w}{i // len(WORDS) or ''}"
+        for i, w in enumerate(np.resize(WORDS, n_values))), dtype=object)
+    t_values = WORDS[::2]
+    return {"s": kernels.CodedColumn(
+                rng.integers(0, len(s_values), n), s_values),
+            "t": kernels.CodedColumn(
+                rng.integers(0, len(t_values), n), t_values),
+            "n": rng.integers(0, 8, n)}
+
+
+def _row_space(expr, batch):
+    """The interpreter over decoded values: the reference."""
+    decoded = {name: kernels.decode(col) for name, col in batch.items()}
+    return np.asarray(expr.evaluate(decoded), dtype=bool)
+
+
+class _NoDecode(kernels.CodedColumn):
+    """A coded column that refuses to decode."""
+
+    __slots__ = ()
+
+    def decode(self):
+        raise AssertionError("dictionary-space evaluation decoded rows")
+
+
+class TestDictionarySpacePredicates:
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_plain_batch(self, name):
+        expr = PREDICATES[name]
+        batch = _coded_batch(500)
+        got = kernels.compile_expr(expr)(batch)
+        assert_identical(np.asarray(got, dtype=bool),
+                         _row_space(expr, batch))
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_selection_batch(self, name):
+        expr = PREDICATES[name]
+        base = _coded_batch(500, seed=1)
+        sel = np.flatnonzero(np.random.default_rng(2).random(500) < 0.3)
+        view = kernels.SelBatch(base, sel).view(sorted(expr.columns()))
+        got = kernels.compile_expr(expr)(view)
+        assert_identical(np.asarray(got, dtype=bool), _row_space(expr, view))
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_dictionary_larger_than_rows(self, name):
+        expr = PREDICATES[name]
+        batch = _coded_batch(7, n_values=200, seed=3)
+        assert len(batch["s"].values) > len(batch["s"])
+        got = kernels.compile_expr(expr)(batch)
+        assert_identical(np.asarray(got, dtype=bool),
+                         _row_space(expr, batch))
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_empty_batch(self, name):
+        expr = PREDICATES[name]
+        batch = _coded_batch(0)
+        got = kernels.compile_expr(expr)(batch)
+        assert np.asarray(got).size == 0
+
+    def test_empty_batch_raises_nothing_the_rows_would_not(self):
+        # A string column against an int: the (empty) rows compare
+        # fine, the dictionary's strings would raise TypeError.
+        expr = Comparison("<", S, Literal(5))
+        got = kernels.compile_expr(expr)(_coded_batch(0))
+        assert np.asarray(got).size == 0
+
+    @pytest.mark.parametrize("name", sorted(n for n, e in PREDICATES.items()
+                                            if e.columns() == {"s"}))
+    def test_one_coded_column_is_never_decoded(self, name):
+        batch = _coded_batch(400, seed=4)
+        coded = _NoDecode(batch["s"].codes, batch["s"].values)
+        expected = _row_space(PREDICATES[name], batch)
+        got = kernels.compile_expr(PREDICATES[name])({"s": coded})
+        assert_identical(np.asarray(got, dtype=bool), expected)
+
+    def test_column_decodes_at_most_once(self):
+        batch = _coded_batch(300, seed=5)
+        reference = _row_space(PREDICATES["two_coded_columns"], batch)
+        counted = {}
+        for name in "st":
+            values = batch[name].values.view(_CountingValues)
+            values.gathers = 0
+            counted[name] = values
+            batch[name] = kernels.CodedColumn(batch[name].codes, values)
+        # Both multi-column comparisons read s and t: one decode each.
+        expr = BoolOp("or", (Comparison("<", S, T), Comparison("=", T, S)))
+        got = kernels.compile_expr(expr)(batch)
+        assert [counted[name].gathers for name in "st"] == [1, 1]
+        equal = _row_space(Comparison("=", T, S), batch)
+        assert_identical(np.asarray(got, dtype=bool), reference | equal)
+
+
+class _CountingValues(np.ndarray):
+    """A dictionary that counts how often rows are gathered from it."""
+
+    def __getitem__(self, index):
+        self.gathers += 1
+        return self.view(np.ndarray)[index]
+
+
+GROUP_CASES = {
+    "one_group": (1, 1_000),
+    "few_groups": (4, 5_000),
+    "wide_uint8": (300, 5_000),
+    "two_radix_digits": (70_000, 140_000),
+}
+
+
+class TestSharedGroupOrder:
+    @pytest.mark.parametrize("case", sorted(GROUP_CASES))
+    def test_shared_runs_match_per_call(self, case):
+        n_groups, n = GROUP_CASES[case]
+        rng = np.random.default_rng(n_groups)
+        ids, n_codes = kernels.dict_encode(
+            [np.concatenate([np.arange(n_groups),
+                             rng.integers(0, n_groups, n - n_groups)])])
+        assert n_codes == n_groups
+        values = rng.random(n) * 1e6
+        runs = kernels.group_runs(ids, n_groups)
+        for op in ("sum", "min", "max"):
+            assert_identical(
+                kernels.grouped_reduce(values, ids, n_groups, op, runs),
+                kernels.grouped_reduce(values, ids, n_groups, op))
+
+    def test_one_group_is_not_sorted(self):
+        order, starts = kernels.group_runs(np.zeros(9, dtype=np.int64), 1)
+        assert order is None
+        assert_identical(starts, np.zeros(1, dtype=np.int64))
+
+    def test_shared_runs_check_density(self):
+        with pytest.raises(kernels.PlanError, match="not dense"):
+            kernels.group_runs(np.array([0, 2]), 3)
+
+
+class TestDenseJoinCodes:
+    @pytest.mark.parametrize("case", sorted(JOIN_CASES))
+    def test_dense_count_matches_remap(self, case):
+        left, right = (np.asarray(a, dtype=np.int64)
+                       for a in JOIN_CASES[case])
+        lc, rc, n_codes = kernels.encode_join_keys([left], [right])
+        for got, want in zip(kernels.join_match(lc, rc, n_codes),
+                             kernels.join_match(lc, rc)):
+            assert_identical(got, want)
+
+    def test_composite_and_coded_keys(self):
+        rng = np.random.default_rng(12)
+        words = np.array(["a", "b", "c", "d"], dtype=object)
+        left = [kernels.CodedColumn(rng.integers(0, 4, 900), words),
+                rng.integers(0, 50, 900)]
+        right = [kernels.CodedColumn(rng.integers(0, 3, 400), words[1:]),
+                 rng.integers(0, 50, 400)]
+        lc, rc, n_codes = kernels.encode_join_keys(left, right)
+        assert n_codes == len(np.unique(np.concatenate([lc, rc])))
+        for got, want in zip(kernels.join_match(lc, rc, n_codes),
+                             kernels.join_match(lc, rc)):
+            assert_identical(got, want)
