@@ -139,7 +139,7 @@ def _analytic_coefficients() -> Tuple[Tuple[str, OperatorCost], ...]:
             4_000.0, (c.hash_build_ns_per_row
                       + c.hash_probe_ns_per_row) / 2.0, 0.0),
         # Same build/probe work as HashJoin: the partitioning overhead
-        # is added separately (physops._radix_extra_ns) because it
+        # is added separately (operators.join_cost_terms) because it
         # depends on the cache geometry, not on the row counts alone.
         "RadixHashJoin": OperatorCost(
             4_000.0, (c.hash_build_ns_per_row

@@ -63,10 +63,6 @@ class DiskModel:
                    seek_ms=seek * 1000.0, transfer_ms=transfer * 1000.0)
         return seek + transfer
 
-    def write_seconds(self, n_pages: int, sequential: bool = True) -> float:
-        """Writes cost the same as reads in this model."""
-        return self.read_seconds(n_pages, sequential=sequential)
-
     def with_faults(self, faults: "Optional[FaultInjector]") -> "DiskModel":
         """A copy of this model wired to a fault injector (or to none)."""
         from dataclasses import replace

@@ -314,18 +314,27 @@ class Engine:
                               cost_model=self.config.cost_model,
                               cache=self.planner_cache)
 
+    def _lookup_plan(self, sql: str) -> Tuple[Any, Optional[PlanNode]]:
+        """``(key, plan)``: *sql*'s plan-cache key and its cached plan,
+        None on a miss; counts the hit or miss.  The caller stores a
+        freshly planned statement under *key* (``_profile`` plans inside
+        its own parse/optimize spans, between the lookup and the store)."""
+        key = self._cache_key(sql)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            self.plan_cache_misses += 1
+        else:
+            self.plan_cache_hits += 1
+        return key, plan
+
     def _plan_cached(self, sql: str) -> Tuple[PlanNode, Optional[bool]]:
         """``(plan, cache_hit)``; hit is None when caching is off."""
         if not self.config.plan_cache:
             return self._optimize(parse_select(sql)), None
-        key = self._cache_key(sql)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            self.plan_cache_hits += 1
-            return cached, True
-        self.plan_cache_misses += 1
-        plan = self._optimize(parse_select(sql))
-        self._plan_cache[key] = plan
+        key, plan = self._lookup_plan(sql)
+        if plan is not None:
+            return plan, True
+        plan = self._plan_cache[key] = self._optimize(parse_select(sql))
         return plan, False
 
     def plan(self, sql: str) -> PlanNode:
@@ -398,12 +407,7 @@ class Engine:
         if self.config.plan_cache:
             with maybe_span("engine.plan_cache", "engine") as cache_span:
                 ctx.charge_cpu("arithmetic", costs.plan_cache_lookup_ns)
-                cache_key = self._cache_key(sql)
-                plan = self._plan_cache.get(cache_key)
-                if plan is not None:
-                    self.plan_cache_hits += 1
-                else:
-                    self.plan_cache_misses += 1
+                cache_key, plan = self._lookup_plan(sql)
                 if cache_span is not None:
                     cache_span.set(hit=plan is not None)
 

@@ -11,6 +11,18 @@ charges simulated cost to the execution context:
 This dual nature is what lets the benchmark suite reproduce the
 tutorial's timing tables deterministically while tests validate results
 against plain-numpy oracles.
+
+Each operator has one ``_run`` for both executors (``ctx.executor``).
+What the executor still chooses is the evaluator (the per-row
+:meth:`Expr.evaluate` reference or :func:`kernels.compile_expr`), the
+grouping (:meth:`Aggregate._group` or :func:`kernels.dict_encode`), the
+reductions (bincount / ``ufunc.at`` or :func:`kernels.grouped_reduce`
+over one shared :func:`kernels.group_runs`), the join match function,
+and the charge constants: per-row or ``vector_*`` rates, plus one
+``kernel_launch_ns`` per vectorized operator.  A join's partitioning
+and memory-access cost (:func:`join_cost_terms`) and its radix bits
+(:func:`join_radix_bits`) are defined here once, for the operators and
+the planner's :func:`repro.db.physops.join_operator_cost` alike.
 """
 
 from __future__ import annotations
@@ -33,6 +45,18 @@ from repro.errors import PlanError
 def _vectorized(ctx) -> bool:
     """True when the context selects the kernel-based executor."""
     return ctx.executor == "vectorized"
+
+
+def _launch_ns(ctx) -> float:
+    """Fixed cost of one kernel launch (the loop executor pays none)."""
+    return ctx.costs.kernel_launch_ns if _vectorized(ctx) else 0.0
+
+
+def _evaluator(ctx, expr: Expr) -> Callable[[Batch], np.ndarray]:
+    """*expr* as a ``batch -> values`` function: the per-row
+    :meth:`Expr.evaluate` reference, or its compiled kernel."""
+    return kernels.compile_expr(expr) if _vectorized(ctx) \
+        else expr.evaluate
 
 
 def _kernel_extras(ctx) -> List[str]:
@@ -233,46 +257,31 @@ class Filter(PlanNode):
         needed = sorted(self.predicate.columns())
         require_columns(batch, needed, self.name())
         n = batch_rows(batch)
-        if _vectorized(ctx):
-            return self._run_vectorized(ctx, batch, needed, n)
-        ctx.charge_cpu(self.category,
-                       ctx.costs.filter_ns_per_value * n
-                       * self.predicate.node_count())
+        vectorized = _vectorized(ctx)
+        rate = ctx.costs.vector_filter_ns_per_value if vectorized \
+            else ctx.costs.filter_ns_per_value
+        ctx.charge_cpu(self.category, _launch_ns(ctx)
+                       + rate * n * self.predicate.node_count())
         ctx.charge_tuples(n)
+        if vectorized:
+            self.span_extras["kernel"] = "filter.vector"
         proof = self._zone_shortcircuit()
         if proof is not None:
             # Zone maps already decided every surviving row ("all") or
             # pruned every block ("none" — the batch is empty): skip the
-            # per-row predicate evaluation entirely.
+            # predicate entirely.
             self.span_extras["zone"] = proof
             return batch
-        mask = np.asarray(self.predicate.evaluate(batch), dtype=bool)
+        view = _predicate_view(batch, needed, n, ctx)
+        mask = np.asarray(_evaluator(ctx, self.predicate)(view), dtype=bool)
         if n and bool(mask.all()):
             # All rows survive: the input batch is already the answer
             # (tuple costs above were charged on all n rows either way).
             return batch
-        return {name: arr[mask] for name, arr in batch.items()}
-
-    def _run_vectorized(self, ctx: ExecutionContext, batch,
-                        needed: Sequence[str], n: int) -> Batch:
-        costs = ctx.costs
-        ctx.charge_cpu(self.category,
-                       costs.kernel_launch_ns
-                       + costs.vector_filter_ns_per_value * n
-                       * self.predicate.node_count())
-        ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "filter.vector"
-        proof = self._zone_shortcircuit()
-        if proof is not None:
-            # Same short-circuit as the loop path: no predicate compile,
-            # no evaluation, when zone maps proved the outcome.
-            self.span_extras["zone"] = proof
-            return batch
-        view = _predicate_view(batch, needed, n, ctx)
-        mask = np.asarray(kernels.compile_expr(self.predicate)(view),
-                          dtype=bool)
-        if n and bool(mask.all()):
-            return batch
+        if not vectorized:
+            # The loop executor filters eagerly: no selection vector, and
+            # no gather charge.
+            return {name: arr[mask] for name, arr in batch.items()}
         base, sel = kernels.split_batch(batch)
         new_sel = np.flatnonzero(mask) if sel is None else sel[mask]
         if ctx.selection_vectors:
@@ -314,36 +323,26 @@ class Project(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        n = batch_rows(batch)
-        if _vectorized(ctx):
-            return self._run_vectorized(ctx, batch, n)
-        out: Batch = {}
-        for expr, alias in self.items:
-            ctx.charge_cpu(expr.cost_category(),
-                           ctx.costs.project_ns_per_value * n
-                           * expr.node_count())
-            out[alias] = np.asarray(expr.evaluate(batch))
-        ctx.charge_tuples(n)
-        return out
-
-    def _run_vectorized(self, ctx: ExecutionContext, batch,
-                        n: int) -> Batch:
         # Projection is a gather point: referenced columns materialise
         # here, computed outputs are fresh arrays either way.
-        costs = ctx.costs
+        batch = child_batches[0]
+        n = batch_rows(batch)
         referenced = sorted(set().union(
             *(expr.columns() for expr, __ in self.items)))
         view = _predicate_view(batch, referenced, n, ctx)
-        ctx.charge_cpu("arithmetic", costs.kernel_launch_ns)
+        vectorized = _vectorized(ctx)
+        if vectorized:
+            ctx.charge_cpu("arithmetic", ctx.costs.kernel_launch_ns)
+        rate = ctx.costs.vector_project_ns_per_value if vectorized \
+            else ctx.costs.project_ns_per_value
         out: Batch = {}
         for expr, alias in self.items:
             ctx.charge_cpu(expr.cost_category(),
-                           costs.vector_project_ns_per_value * n
-                           * expr.node_count())
-            out[alias] = np.asarray(kernels.compile_expr(expr)(view))
+                           rate * n * expr.node_count())
+            out[alias] = np.asarray(_evaluator(ctx, expr)(view))
         ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "project.vector"
+        if vectorized:
+            self.span_extras["kernel"] = "project.vector"
         return out
 
 
@@ -507,13 +506,62 @@ def _kernel_match(left_cols: Sequence[np.ndarray],
     return kernels.radix_join_match(left_codes, right_codes, radix_bits)
 
 
+def join_radix_bits(cache, n_build: int,
+                    forced: Optional[int] = None) -> int:
+    """Partition bits of a radix join over *n_build* build rows: *forced*
+    clamped to ``[0, MAX_RADIX_BITS]``, or else the fewest bits that make
+    each partition's hash table fit the last level of *cache* (the
+    default model's L2 without one)."""
+    if forced is not None:
+        return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
+    if cache is not None and cache.levels:
+        cache_bytes = cache.levels[-1].size_bytes
+    else:
+        from repro.hardware.cache import DEFAULT_CACHE_MODEL
+        cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
+    return kernels.radix_bits_for(n_build, cache_bytes)
+
+
+def join_cost_terms(costs, cache, n_build: int, n_probe: int,
+                    bits: int = 0) -> Tuple[List[float], List[float]]:
+    """What a hash join on *bits* radix bits (0: a plain hash join) pays
+    beyond its per-row CPU work, as ``(partitioning, memory)`` ns terms.
+
+    The executor charges each list's sum; the planner adds both to its
+    operator estimate.  Partitioning streams both inputs once per pass
+    and pays a fixed setup per partition (what makes over-partitioning
+    lose — the E28 sweet spot).  Memory terms exist only under a cache
+    model: the partitioning passes are sequential read + scatter-write
+    streams, and building and probing are random accesses into a hash
+    table sized by the build input over the partitions, so an
+    out-of-cache build pays memory latency on (almost) every probe —
+    the effect partitioning removes.
+    """
+    n_rows = n_build + n_probe
+    passes = kernels.radix_passes(bits)
+    partitioning: List[float] = []
+    if passes:
+        partitioning = [passes * costs.radix_partition_ns_per_row * n_rows,
+                        (1 << bits) * costs.radix_partition_setup_ns]
+    if cache is None:
+        return partitioning, []
+    memory = [_stream_ns(cache, n_rows) for _ in range(passes)]
+    working_set = max(
+        1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
+    memory.append(cache.random_accesses(n_build, working_set))
+    memory.append(cache.random_accesses(n_probe, working_set))
+    return partitioning, memory
+
+
+def _stream_ns(cache, n_rows: int) -> float:
+    """One sequential read + write stream over *n_rows* 16-byte rows."""
+    return cache.sequential_scan(n_rows, 16)
+
+
 class HashJoin(_EquiJoin):
     """Inner equi-join: build on the right child, probe with the left."""
 
     category = "hash"
-    #: Radix bits the matching kernel partitions on (None: no
-    #: partitioning; :class:`RadixHashJoin` sets it per execution).
-    _last_bits: Optional[int] = None
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str]):
@@ -532,6 +580,10 @@ class HashJoin(_EquiJoin):
         est_left = self.children[0].estimated_rows_safe(ctx)
         est_right = self.children[1].estimated_rows_safe(ctx)
         return "left" if est_left < est_right else "right"
+
+    def partition_bits(self, ctx, n_build: int) -> Optional[int]:
+        """Radix bits the join partitions on (None: no partitioning)."""
+        return None
 
     def explain_extras(self, ctx) -> List[str]:
         extras = _kernel_extras(ctx)
@@ -553,14 +605,23 @@ class HashJoin(_EquiJoin):
         # Hash table: roughly one 8-byte slot + entry per build row.
         self.aux_bytes = kernels.HASH_TABLE_BYTES_PER_ROW * n_build
         ctx.charge_tuples(n_left + n_right)
-        self._charge_access(ctx, n_left, n_right, n_build)
+        bits = self.partition_bits(ctx, n_build)
+        if bits is not None:
+            self.span_extras["radix_bits"] = bits
+            self.span_extras["partitions"] = 1 << bits
+        partitioning, memory = join_cost_terms(
+            ctx.costs, ctx.cache, n_build, n_left + n_right - n_build,
+            bits or 0)
+        if partitioning:
+            ctx.charge_cpu("hash", sum(partitioning))
+        if memory:
+            ctx.charge_cpu("hash", sum(memory))
 
         if _vectorized(ctx):
             ctx.charge_cpu("hash",
                            ctx.costs.kernel_launch_ns
                            + ctx.costs.vector_join_ns_per_row
                            * (n_left + n_right))
-            bits = self._last_bits
             self.span_extras["kernel"] = \
                 "join.vector" if bits is None else "join.radix"
             match = partial(_kernel_match, radix_bits=bits)
@@ -572,24 +633,6 @@ class HashJoin(_EquiJoin):
             match = partial(_loop_match, build_side=build_side)
         return _equi_join(left, right, self.left_keys, self.right_keys,
                           match)
-
-    def _charge_access(self, ctx, n_left: int, n_right: int,
-                       n_build: int) -> None:
-        """Memory-latency side of the join.
-
-        Charged only when the engine carries a cache model: building and
-        probing are random accesses into a hash table sized by the full
-        build input, so an out-of-cache build pays memory latency on
-        (almost) every probe — the effect the radix join removes.
-        """
-        cache = ctx.cache
-        if cache is None:
-            return
-        working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
-        ns = cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_left + n_right - n_build,
-                                    working_set)
-        ctx.charge_cpu("hash", ns)
 
 
 class RadixHashJoin(HashJoin):
@@ -613,17 +656,10 @@ class RadixHashJoin(HashJoin):
         #: the context's ``radix_bits`` and finally to auto-sizing.
         self.radix_bits = radix_bits
 
-    def _bits_for(self, ctx, n_build: int) -> int:
+    def partition_bits(self, ctx, n_build: int) -> int:
         forced = self.radix_bits if self.radix_bits is not None \
             else ctx.radix_bits
-        if forced is not None:
-            return max(0, min(int(forced), kernels.MAX_RADIX_BITS))
-        if ctx.cache is not None and ctx.cache.levels:
-            cache_bytes = ctx.cache.levels[-1].size_bytes
-        else:
-            from repro.hardware.cache import DEFAULT_CACHE_MODEL
-            cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
-        return kernels.radix_bits_for(n_build, cache_bytes)
+        return join_radix_bits(ctx.cache, n_build, forced)
 
     def explain_extras(self, ctx) -> List[str]:
         extras = super().explain_extras(ctx)
@@ -631,42 +667,12 @@ class RadixHashJoin(HashJoin):
         if bits is None and ctx is not None:
             build = self.choose_build_side(ctx)
             child = self.children[0 if build == "left" else 1]
-            bits = self._bits_for(ctx, int(child.estimated_rows_safe(ctx)))
+            bits = self.partition_bits(
+                ctx, int(child.estimated_rows_safe(ctx)))
         if bits is not None:
             extras.append(f"bits={bits}")
             extras.append(f"partitions={1 << int(bits)}")
         return extras
-
-    def _charge_access(self, ctx, n_left: int, n_right: int,
-                       n_build: int) -> None:
-        bits = self._bits_for(ctx, n_build)
-        self._last_bits = bits
-        self.span_extras["radix_bits"] = bits
-        self.span_extras["partitions"] = 1 << bits
-        costs = ctx.costs
-        passes = kernels.radix_passes(bits)
-        if passes:
-            # CPU side of partitioning: every pass streams both inputs
-            # once; every partition pays a fixed setup (this is what
-            # makes over-partitioning lose — the E28 sweet spot).
-            ctx.charge_cpu(
-                "hash",
-                passes * costs.radix_partition_ns_per_row
-                * (n_left + n_right)
-                + (1 << bits) * costs.radix_partition_setup_ns)
-        cache = ctx.cache
-        if cache is None:
-            return
-        ns = 0.0
-        for _ in range(passes):
-            # Partitioning is sequential: read + scatter-write streams.
-            ns += cache.sequential_scan(n_left + n_right, 16)
-        working_set = max(
-            1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
-        ns += cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_left + n_right - n_build,
-                                    working_set)
-        ctx.charge_cpu("hash", ns)
 
 
 class NestedLoopJoin(_EquiJoin):
@@ -762,70 +768,32 @@ class Aggregate(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        if _vectorized(ctx):
-            return self._run_vectorized(
-                ctx, kernels.materialize_charged(ctx, batch))
+        batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
-        ctx.charge_cpu("hash", ctx.costs.group_ns_per_row * n)
-        ctx.charge_cpu("arithmetic",
-                       ctx.costs.agg_ns_per_value * n
-                       * max(1, len(self.aggregates)))
-        ctx.charge_tuples(n)
-
-        if self.group_by:
-            group_ids, group_keys = self._group(batch, n)
-            self.aux_bytes = 48 * len(group_keys) + 8 * n
+        vectorized = _vectorized(ctx)
+        costs = ctx.costs
+        if vectorized:
+            group_rate, agg_rate = (costs.vector_group_ns_per_row,
+                                    costs.vector_agg_ns_per_value)
         else:
+            group_rate, agg_rate = costs.group_ns_per_row, \
+                costs.agg_ns_per_value
+        ctx.charge_cpu("hash", _launch_ns(ctx) + group_rate * n)
+        ctx.charge_cpu("arithmetic",
+                       agg_rate * n * max(1, len(self.aggregates)))
+        ctx.charge_tuples(n)
+        if vectorized:
+            self.span_extras["kernel"] = "aggregate.vector"
+        child_schema = self.children[0].schema(ctx)
+
+        out: Batch = {}
+        if not self.group_by:
             # A global aggregate always produces exactly one row, even
             # over empty input (COUNT(*) = 0), per SQL semantics.
-            group_ids = np.zeros(n, dtype=np.int64)
-            group_keys = {(): 0}
-        n_groups = len(group_keys)
-        child_schema = self.children[0].schema(ctx)
-
-        out: Batch = {}
-        ordered = sorted(group_keys.items(), key=lambda kv: kv[1])
-        for pos, key_name in enumerate(self.group_by):
-            values = [key for key, __ in ordered]
-            dtype = child_schema[key_name]
-            if dtype is DataType.STRING:
-                col = np.empty(n_groups, dtype=object)
-                for i, key in enumerate(values):
-                    col[i] = key[pos]
-            else:
-                col = np.asarray([key[pos] for key in values],
-                                 dtype=dtype.numpy_dtype)
-            out[key_name] = col
-
-        for func, expr, alias in self.aggregates:
-            values = self._aggregate(func, expr, batch, group_ids, n_groups)
-            if func is AggFunc.COUNT:
-                values = values.astype(np.int64)
-            elif func is not AggFunc.AVG and expr is not None \
-                    and expr.dtype(child_schema) is DataType.INT64:
-                values = values.astype(np.int64)
-            out[alias] = values
-        return out
-
-    def _run_vectorized(self, ctx: ExecutionContext,
-                        batch: Batch) -> Batch:
-        n = batch_rows(batch)
-        costs = ctx.costs
-        ctx.charge_cpu("hash", costs.kernel_launch_ns
-                       + costs.vector_group_ns_per_row * n)
-        ctx.charge_cpu("arithmetic",
-                       costs.vector_agg_ns_per_value * n
-                       * max(1, len(self.aggregates)))
-        ctx.charge_tuples(n)
-        self.span_extras["kernel"] = "aggregate.vector"
-        child_schema = self.children[0].schema(ctx)
-
-        out: Batch = {}
-        if self.group_by:
+            group_ids, n_groups = np.zeros(n, dtype=np.int64), 1
+        elif vectorized:
             group_ids, n_groups = kernels.dict_encode(
                 [batch[k] for k in self.group_by])
-            self.aux_bytes = 48 * n_groups + 8 * n
             # Representative row per group: output is key-sorted (the
             # dictionary codes ascend with the composite key), unlike
             # the loop executor's first-occurrence order.
@@ -833,55 +801,37 @@ class Aggregate(PlanNode):
             for key_name in self.group_by:
                 out[key_name] = kernels.decode(batch[key_name][first])
         else:
-            group_ids = np.zeros(n, dtype=np.int64)
-            n_groups = 1
-        # Every SUM/AVG/MIN/MAX reduces over one shared group order.
-        runs = None
-        if n and any(func is not AggFunc.COUNT
-                     for func, __, __ in self.aggregates):
-            runs = kernels.group_runs(group_ids, n_groups)
+            group_ids, keys = self._group(batch, n)
+            n_groups = len(keys)
+            for pos, key_name in enumerate(self.group_by):
+                out[key_name] = _key_column(
+                    [key[pos] for key in keys], child_schema[key_name])
+        if self.group_by:
+            self.aux_bytes = 48 * n_groups + 8 * n
+        count, reduce = _reductions(
+            vectorized, group_ids, n_groups,
+            share_runs=n > 0 and any(func is not AggFunc.COUNT
+                                     for func, __, __ in self.aggregates))
 
         for func, expr, alias in self.aggregates:
-            values = self._aggregate_vectorized(func, expr, batch,
-                                                group_ids, n_groups, runs)
-            if func is AggFunc.COUNT:
-                values = values.astype(np.int64)
-            elif func is not AggFunc.AVG and expr is not None \
-                    and expr.dtype(child_schema) is DataType.INT64:
+            if n_groups == 0:
+                # Grouped aggregation over empty input: zero output rows.
+                values = np.zeros(0, dtype=np.float64)
+            elif func is AggFunc.COUNT:
+                values = count()
+            else:
+                values = _aggregate(func, _evaluator(ctx, expr)(batch),
+                                    count, reduce)
+            if func is AggFunc.COUNT or (
+                    func is not AggFunc.AVG
+                    and expr.dtype(child_schema) is DataType.INT64):
                 values = values.astype(np.int64)
             out[alias] = values
         return out
 
-    @staticmethod
-    def _aggregate_vectorized(func: AggFunc, expr: Optional[Expr],
-                              batch: Batch, group_ids: np.ndarray,
-                              n_groups: int, runs) -> np.ndarray:
-        if n_groups == 0:
-            return np.zeros(0, dtype=np.float64)
-        if func is AggFunc.COUNT:
-            return kernels.group_count(group_ids, n_groups)
-        values = np.asarray(kernels.compile_expr(expr)(batch),
-                            dtype=np.float64)
-        if values.size == 0:
-            # Only the global aggregate reaches here with zero rows
-            # (dense grouped ids imply populated groups); match the
-            # loop executor's SQL identities over empty input.
-            fill = {AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
-                    AggFunc.MIN: np.inf, AggFunc.MAX: -np.inf}[func]
-            return np.full(n_groups, fill, dtype=np.float64)
-        if func is AggFunc.SUM:
-            return kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum", runs)
-        if func is AggFunc.AVG:
-            sums = kernels.grouped_reduce(values, group_ids,
-                                          n_groups, "sum", runs)
-            counts = kernels.group_count(group_ids, n_groups)
-            return sums / np.maximum(counts, 1)
-        op = "min" if func is AggFunc.MIN else "max"
-        return kernels.grouped_reduce(values, group_ids, n_groups, op,
-                                      runs)
-
     def _group(self, batch: Batch, n: int):
+        """Per-row grouping: ``(group_ids, keys)`` with the distinct key
+        tuples in first-occurrence order (group id = position)."""
         key_cols = _null_safe_keys([batch[k] for k in self.group_by])
         group_keys: Dict[tuple, int] = {}
         group_ids = np.empty(n, dtype=np.int64)
@@ -892,30 +842,61 @@ class Aggregate(PlanNode):
                 gid = len(group_keys)
                 group_keys[key] = gid
             group_ids[i] = gid
-        return group_ids, group_keys
+        return group_ids, list(group_keys)
 
-    @staticmethod
-    def _aggregate(func: AggFunc, expr: Optional[Expr], batch: Batch,
-                   group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-        if n_groups == 0:
-            # Grouped aggregation over empty input: zero output rows.
-            return np.zeros(0, dtype=np.float64)
-        if func is AggFunc.COUNT:
-            counts = np.bincount(group_ids, minlength=n_groups)
-            return counts.astype(np.int64)
-        values = np.asarray(expr.evaluate(batch), dtype=np.float64)
-        if func is AggFunc.SUM or func is AggFunc.AVG:
-            sums = np.bincount(group_ids, weights=values,
+
+def _key_column(values: list, dtype: DataType) -> np.ndarray:
+    """One GROUP BY output column built from per-row key values."""
+    if dtype is DataType.STRING:
+        col = np.empty(len(values), dtype=object)
+        for i, value in enumerate(values):
+            col[i] = value
+        return col
+    return np.asarray(values, dtype=dtype.numpy_dtype)
+
+
+def _reductions(vectorized: bool, group_ids: np.ndarray, n_groups: int,
+                share_runs: bool):
+    """``(count, reduce)`` over one grouping: ``count()`` gives rows per
+    group, ``reduce(values, op)`` folds *values* per group with "sum",
+    "min" or "max".  The vectorized executor runs the kernels, every
+    reduction over one shared :func:`~repro.db.kernels.group_runs`
+    (computed up front when *share_runs*); the loop executor runs the
+    bincount / ``ufunc.at`` reference."""
+    if vectorized:
+        shared = kernels.group_runs(group_ids, n_groups) if share_runs \
+            else None
+        return (partial(kernels.group_count, group_ids, n_groups),
+                lambda values, op: kernels.grouped_reduce(
+                    values, group_ids, n_groups, op, shared))
+
+    def reduce(values: np.ndarray, op: str) -> np.ndarray:
+        if op == "sum":
+            return np.bincount(group_ids, weights=values,
                                minlength=n_groups)
-            if func is AggFunc.SUM:
-                return sums
-            counts = np.bincount(group_ids, minlength=n_groups)
-            return sums / np.maximum(counts, 1)
-        fill = np.inf if func is AggFunc.MIN else -np.inf
-        out = np.full(n_groups, fill, dtype=np.float64)
-        ufunc = np.minimum if func is AggFunc.MIN else np.maximum
-        ufunc.at(out, group_ids, values)
+        out = np.full(n_groups, np.inf if op == "min" else -np.inf,
+                      dtype=np.float64)
+        (np.minimum if op == "min" else np.maximum).at(out, group_ids,
+                                                         values)
         return out
+
+    return partial(np.bincount, group_ids, minlength=n_groups), reduce
+
+
+def _aggregate(func: AggFunc, values, count, reduce) -> np.ndarray:
+    """SUM/AVG/MIN/MAX of *values* per group (at least one group)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        # Only the global aggregate reaches here with zero rows (a
+        # grouped one has no groups then): SQL's identities over empty
+        # input.
+        fill = {AggFunc.SUM: 0.0, AggFunc.AVG: 0.0,
+                AggFunc.MIN: np.inf, AggFunc.MAX: -np.inf}[func]
+        return np.full(1, fill, dtype=np.float64)
+    if func is AggFunc.AVG:
+        sums = reduce(values, "sum")
+        return sums / np.maximum(count(), 1)
+    return reduce(values, func.value)
 
 
 #: The one NULL key of per-row grouping: NaN never equals itself, but
@@ -975,8 +956,7 @@ class MergeJoin(_EquiJoin):
         ctx.charge_tuples(n_left + n_right)
         if ctx.cache is not None:
             # Merging is purely sequential: one stream over each input.
-            ctx.charge_cpu("sort",
-                           ctx.cache.sequential_scan(n_left + n_right, 16))
+            ctx.charge_cpu("sort", _stream_ns(ctx.cache, n_left + n_right))
 
         if _vectorized(ctx):
             ctx.charge_cpu("sort",
@@ -1056,31 +1036,30 @@ class Distinct(PlanNode):
 
     def _run(self, ctx: ExecutionContext,
              child_batches: List[Batch]) -> Batch:
-        batch = child_batches[0]
-        if _vectorized(ctx):
-            batch = kernels.materialize_charged(ctx, batch)
-            n = batch_rows(batch)
-            ctx.charge_cpu("hash",
-                           ctx.costs.kernel_launch_ns
-                           + ctx.costs.vector_distinct_ns_per_row * n)
-            ctx.charge_tuples(n)
-            self.span_extras["kernel"] = "distinct.vector"
-            idx = kernels.first_occurrence_order(
-                [batch[c] for c in batch])
-            return {name: arr[idx] for name, arr in batch.items()}
+        batch = kernels.materialize_charged(ctx, child_batches[0])
         n = batch_rows(batch)
-        ctx.charge_cpu("hash", ctx.costs.group_ns_per_row * n)
+        vectorized = _vectorized(ctx)
+        rate = ctx.costs.vector_distinct_ns_per_row if vectorized \
+            else ctx.costs.group_ns_per_row
+        ctx.charge_cpu("hash", _launch_ns(ctx) + rate * n)
         ctx.charge_tuples(n)
-        columns = _null_safe_keys(list(batch.values()))
-        seen: Dict[tuple, None] = {}
-        keep: List[int] = []
-        for i in range(n):
-            key = tuple(col[i] for col in columns)
-            if key not in seen:
-                seen[key] = None
-                keep.append(i)
-        idx = np.asarray(keep, dtype=np.int64)
+        if vectorized:
+            self.span_extras["kernel"] = "distinct.vector"
+            idx = kernels.first_occurrence_order(list(batch.values()))
+        else:
+            idx = _first_occurrences(list(batch.values()))
         return {name: arr[idx] for name, arr in batch.items()}
+
+
+def _first_occurrences(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row reference of :func:`kernels.first_occurrence_order`."""
+    seen: Dict[tuple, None] = {}
+    keep: List[int] = []
+    for i, key in enumerate(zip(*_null_safe_keys(columns))):
+        if key not in seen:
+            seen[key] = None
+            keep.append(i)
+    return np.asarray(keep, dtype=np.int64)
 
 
 class Sort(PlanNode):

@@ -21,8 +21,8 @@ relations, greedy beyond), cardinalities from the
 :class:`~repro.db.statistics.StatisticsCatalog` via
 :class:`~repro.db.costmodel.CardinalityEstimator`, operator costs from
 a calibrated :class:`~repro.db.costmodel.CostModel`, and physical
-operators (hash/merge/loop join, seq/index scan, build side) chosen by
-the chainable :mod:`repro.db.physops` selection stages.  Every node of
+operators (hash/radix/merge/loop join, seq/index scan, build side)
+chosen by :func:`repro.db.physops.select_operators`.  Every node of
 a cost-based plan carries ``est_rows``/``est_cost_ns`` annotations that
 EXPLAIN renders and E25 compares against actuals.
 """
@@ -61,15 +61,13 @@ from repro.db.operators import (
     SeqScan,
     Sort,
 )
-from repro.db.parser import SelectStatement
+from repro.db.parser import JOIN_OPERATORS, SelectStatement
 from repro.db.physops import (
-    CostBasedOperatorSelection,
-    HintOperatorSelection,
     JoinStep,
-    JOIN_OPERATORS,
     OperatorSelectionContext,
     PhysicalOperatorAssignment,
     join_operator_cost,
+    select_operators,
 )
 from repro.db.plan import PlanNode, sanitize_estimate
 from repro.db.statistics import StatisticsCatalog
@@ -682,7 +680,7 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
                      cost_model: Optional[CostModel],
                      cache=None) -> PlanNode:
     """The v2 planner: enumerate join orders, select physical operators
-    through the physops chain, assemble an annotated plan."""
+    (cost first, then hints), assemble an annotated plan."""
     model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     estimator = CardinalityEstimator(database, stats)
     hints = statement.hints
@@ -738,16 +736,14 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
         prefix, considered = _greedy_join_order(ctx, tables, starts)
         method = "greedy"
 
-    # -- physical-operator selection (chainable, PostBOUND-style) ---------
-    selection = CostBasedOperatorSelection()
-    if not hints.is_empty:
-        selection.chain_with(HintOperatorSelection(hints))
-    op_context = OperatorSelectionContext(
-        steps=prefix.steps,
-        scan_costs={t: dict(scans[t].paths) for t in tables},
-        cost_model=model,
-        cache=cache)
-    assignment = selection.select_physical_operators(op_context)
+    # -- physical-operator selection: cost first, then hints ---------------
+    assignment = select_operators(
+        OperatorSelectionContext(
+            steps=prefix.steps,
+            scan_costs={t: dict(scans[t].paths) for t in tables},
+            cost_model=model,
+            cache=cache),
+        hints)
 
     plan = _assemble_cost_plan(statement, ctx, prefix, assignment,
                                ownership)
@@ -839,21 +835,14 @@ def _assemble_cost_plan(statement: SelectStatement, ctx: _CostContext,
                                   list(step.right_keys))
             own = model.operator_ns("NestedLoopJoin", step.rows_left,
                                     step.rows_out, step.rows_right)
-        elif operator == "radix":
-            node = RadixHashJoin(plan, right, list(step.left_keys),
-                                 list(step.right_keys))
-            side = assignment.build_sides.get(step.table)
-            if side is not None:
-                node.forced_build_side = side
-            own = model.operator_ns("RadixHashJoin", step.rows_left,
-                                    step.rows_out, step.rows_right)
         else:
-            node = HashJoin(plan, right, list(step.left_keys),
-                            list(step.right_keys))
+            join = RadixHashJoin if operator == "radix" else HashJoin
+            node = join(plan, right, list(step.left_keys),
+                        list(step.right_keys))
             side = assignment.build_sides.get(step.table)
             if side is not None:
                 node.forced_build_side = side
-            own = model.operator_ns("HashJoin", step.rows_left,
+            own = model.operator_ns(join.__name__, step.rows_left,
                                     step.rows_out, step.rows_right)
         plan = _annotate(node, step.rows_out, own)
         before = set(joined)

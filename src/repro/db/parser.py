@@ -40,7 +40,7 @@ from repro.db.expressions import (
     date_literal,
 )
 from repro.db.operators import AggFunc
-from repro.errors import SqlSyntaxError
+from repro.errors import PlanError, SqlSyntaxError
 
 _KEYWORDS = {
     "select", "distinct", "from", "where", "group", "order", "by",
@@ -139,10 +139,11 @@ def strip_explain(sql: str) -> Tuple[Optional[str], str]:
     return ("analyze" if match.group(1) else "explain"), sql[match.end():]
 
 
-#: Recognised join operators / scan kinds / build sides in hints.
-_HINT_JOIN_OPS = ("hash", "merge", "loop", "radix")
-_HINT_SCANS = ("seq", "index")
-_HINT_BUILDS = ("left", "right")
+#: The physical join operators, scan kinds and hash-join build sides:
+#: what plan hints may name and what the cost planner chooses from.
+JOIN_OPERATORS = ("hash", "merge", "loop", "radix")
+SCAN_OPERATORS = ("seq", "index")
+BUILD_SIDES = ("left", "right")
 
 _HINT_CLAUSE_RE = re.compile(r"([A-Za-z_]+)\s*\(([^)]*)\)")
 
@@ -154,18 +155,32 @@ class PlanHints:
     Supported clauses (PostBOUND-style, one or more per comment)::
 
         JOIN_ORDER(t1 t2 t3)   -- force this left-deep join order
-        JOIN_OP(t hash|merge|loop)  -- operator for the join adding t
+        JOIN_OP(t hash|merge|loop|radix)  -- operator for the join adding t
         SCAN(t seq|index)      -- access path for table t
         BUILD(t left|right)    -- hash-join build side for the join
                                   that introduces t
 
     Association tuples are sorted so hints hash/compare structurally.
+    An operator or build side outside :data:`JOIN_OPERATORS`,
+    :data:`SCAN_OPERATORS` or :data:`BUILD_SIDES` raises
+    :class:`PlanError` (:func:`parse_hints` reports it as a syntax error
+    first).
     """
 
     join_order: Tuple[str, ...] = ()
     join_ops: Tuple[Tuple[str, str], ...] = ()
     scans: Tuple[Tuple[str, str], ...] = ()
     build_sides: Tuple[Tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        for name, pairs, valid in (("JOIN_OP", self.join_ops, JOIN_OPERATORS),
+                                   ("SCAN", self.scans, SCAN_OPERATORS),
+                                   ("BUILD", self.build_sides, BUILD_SIDES)):
+            for table, value in pairs:
+                if value not in valid:
+                    raise PlanError(
+                        f"{name}({table} {value}) hint: expected one of "
+                        f"{'|'.join(valid)}")
 
     @property
     def is_empty(self) -> bool:
@@ -216,11 +231,11 @@ def parse_hints(text: str) -> PlanHints:
                     f"JOIN_ORDER needs >= 2 distinct tables, got {args}")
             join_order = tuple(args)
         elif name == "JOIN_OP":
-            join_ops.append(pair("JOIN_OP", args, _HINT_JOIN_OPS))
+            join_ops.append(pair("JOIN_OP", args, JOIN_OPERATORS))
         elif name == "SCAN":
-            scans.append(pair("SCAN", args, _HINT_SCANS))
+            scans.append(pair("SCAN", args, SCAN_OPERATORS))
         elif name == "BUILD":
-            builds.append(pair("BUILD", args, _HINT_BUILDS))
+            builds.append(pair("BUILD", args, BUILD_SIDES))
         else:
             raise SqlSyntaxError(
                 f"unknown hint {name!r}; supported: JOIN_ORDER, "

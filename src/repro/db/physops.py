@@ -1,17 +1,16 @@
-"""Physical-operator selection: a chainable post-join-order stage.
+"""Physical-operator selection: the cost planner's post-join-order stage.
 
-Modeled on PostBOUND's ``physops.selection``: once the join *order* is
-fixed, a chain of :class:`PhysicalOperatorSelection` stages decides the
-physical *operators* — hash vs merge vs nested-loop join, sequential vs
-index scan, and the hash-join build side.  Stages chain with
-:meth:`~PhysicalOperatorSelection.chain_with`; each stage refines the
-assignment produced by its predecessor, so a cost-based stage can run
-first and a hint stage can override it afterwards.
+Once the join *order* is fixed, :func:`select_operators` decides the
+physical *operators* — hash, radix, merge or nested-loop join,
+sequential or index scan, and the hash-join build side: the cheapest
+choice under the cost model first, then every ``/*+ ... */`` plan hint
+on top.  The hint vocabularies live in :mod:`repro.db.parser`, which
+rejects unknown values while parsing.
 
 The optimizer (:mod:`repro.db.optimizer`) builds an
 :class:`OperatorSelectionContext` describing the ordered join steps and
-per-table scan alternatives, runs the chain, and assembles the physical
-plan from the resulting :class:`PhysicalOperatorAssignment`.
+per-table scan alternatives, and assembles the physical plan from the
+resulting :class:`PhysicalOperatorAssignment`.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.db import kernels
+from repro.db.context import CostParameters
 from repro.db.costmodel import CostModel
-from repro.db.parser import PlanHints
+from repro.db.operators import join_cost_terms, join_radix_bits
+from repro.db.parser import JOIN_OPERATORS, PlanHints
 from repro.errors import PlanError
-
-JOIN_OPERATORS = ("hash", "merge", "loop", "radix")
-SCAN_OPERATORS = ("seq", "index")
-BUILD_SIDES = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class JoinStep:
 
 @dataclass(frozen=True)
 class OperatorSelectionContext:
-    """Everything a selection stage may consult.
+    """Everything operator selection may consult.
 
     ``scan_costs`` maps each table to its available access paths and
     their estimated cost in ns (``{"seq": 120.0, "index": 40.0}``); a
@@ -66,7 +62,7 @@ class OperatorSelectionContext:
 
 @dataclass
 class PhysicalOperatorAssignment:
-    """The chain's output: operator choices keyed by table.
+    """Operator choices keyed by table.
 
     ``join_ops``/``build_sides`` are keyed by the table each join step
     *introduces* (unambiguous in a left-deep order).
@@ -76,162 +72,59 @@ class PhysicalOperatorAssignment:
     join_ops: Dict[str, str] = field(default_factory=dict)
     build_sides: Dict[str, str] = field(default_factory=dict)
 
-    def set_scan(self, table: str, operator: str) -> None:
-        if operator not in SCAN_OPERATORS:
-            raise PlanError(f"unknown scan operator {operator!r}")
-        self.scan_ops[table] = operator
 
-    def set_join(self, table: str, operator: str) -> None:
-        if operator not in JOIN_OPERATORS:
-            raise PlanError(f"unknown join operator {operator!r}")
-        self.join_ops[table] = operator
+def select_operators(context: OperatorSelectionContext,
+                     hints: PlanHints) -> PhysicalOperatorAssignment:
+    """The physical operators for *context*'s join order.
 
-    def set_build_side(self, table: str, side: str) -> None:
-        if side not in BUILD_SIDES:
-            raise PlanError(f"unknown build side {side!r}")
-        self.build_sides[table] = side
+    Cost-based first:
 
-
-class PhysicalOperatorSelection:
-    """Base class for one stage of the operator-selection chain."""
-
-    def __init__(self):
-        self._next: Optional["PhysicalOperatorSelection"] = None
-
-    def chain_with(self, successor: "PhysicalOperatorSelection"
-                   ) -> "PhysicalOperatorSelection":
-        """Append *successor* to the end of this chain; returns self so
-        chains compose fluently:
-        ``CostBased(...).chain_with(Hinted(hints))``."""
-        if self._next is None:
-            self._next = successor
-        else:
-            self._next.chain_with(successor)
-        return self
-
-    def select_physical_operators(
-            self, context: OperatorSelectionContext,
-            assignment: Optional[PhysicalOperatorAssignment] = None
-    ) -> PhysicalOperatorAssignment:
-        """Run this stage, then every chained successor."""
-        if assignment is None:
-            assignment = PhysicalOperatorAssignment()
-        self._apply(context, assignment)
-        if self._next is not None:
-            self._next.select_physical_operators(context, assignment)
-        return assignment
-
-    def _apply(self, context: OperatorSelectionContext,
-               assignment: PhysicalOperatorAssignment) -> None:
-        raise NotImplementedError
-
-
-class CostBasedOperatorSelection(PhysicalOperatorSelection):
-    """Pick the cheapest operator per step under the cost model.
-
-    - joins: min over hash / merge / loop, where merge pays for the
-      Sort enforcers it needs on both inputs;
+    - joins: min over :data:`~repro.db.parser.JOIN_OPERATORS` by
+      :func:`join_operator_cost`;
     - scans: the cheaper of the available access paths;
     - build side: hash the estimated-smaller input (ties build right,
       matching the executor's classic layout).
+
+    Then each hinted entry is overridden; the rest keep their choice.
+    A hint naming a table that no scan or join step has, or forcing an
+    index scan without a usable index, raises :class:`PlanError`.
     """
+    model = context.cost_model
+    assignment = PhysicalOperatorAssignment()
+    for table, paths in context.scan_costs.items():
+        assignment.scan_ops[table] = min(paths, key=paths.get)
+    for step in context.steps:
+        costs = {op: join_operator_cost(model, op, step,
+                                        cache=context.cache)
+                 for op in JOIN_OPERATORS}
+        assignment.join_ops[step.table] = min(costs, key=costs.get)
+        assignment.build_sides[step.table] = \
+            "left" if step.rows_left < step.rows_right else "right"
 
-    def _apply(self, context: OperatorSelectionContext,
-               assignment: PhysicalOperatorAssignment) -> None:
-        model = context.cost_model
-        for table, paths in context.scan_costs.items():
-            assignment.set_scan(
-                table, min(paths, key=lambda op: paths[op]))
-        for step in context.steps:
-            costs = {op: join_operator_cost(model, op, step,
-                                            cache=context.cache)
-                     for op in JOIN_OPERATORS}
-            assignment.set_join(step.table, min(costs, key=costs.get))
-            assignment.set_build_side(
-                step.table,
-                "left" if step.rows_left < step.rows_right else "right")
-
-
-class HintOperatorSelection(PhysicalOperatorSelection):
-    """Force operators from ``/*+ ... */`` plan hints.
-
-    Chain this *after* a cost-based stage: only hinted entries are
-    overridden, everything else keeps the predecessor's choice.
-    """
-
-    def __init__(self, hints: PlanHints):
-        super().__init__()
-        self.hints = hints
-
-    def _apply(self, context: OperatorSelectionContext,
-               assignment: PhysicalOperatorAssignment) -> None:
-        known = set(context.scan_costs)
-        joined = {step.table for step in context.steps}
-        for table, operator in self.hints.scans:
-            if table not in known:
-                raise PlanError(
-                    f"SCAN hint references unknown table {table!r}")
-            if operator == "index" \
-                    and "index" not in context.scan_costs[table]:
-                raise PlanError(
-                    f"SCAN({table} index) hint: no usable index "
-                    f"(equality predicate on an indexed column needed)")
-            assignment.set_scan(table, operator)
-        for table, operator in self.hints.join_ops:
-            if table not in joined:
-                raise PlanError(
-                    f"JOIN_OP hint references {table!r}, which no join "
-                    f"step introduces (first table cannot be hinted)")
-            assignment.set_join(table, operator)
-        for table, side in self.hints.build_sides:
-            if table not in joined:
-                raise PlanError(
-                    f"BUILD hint references {table!r}, which no join "
-                    f"step introduces")
-            assignment.set_build_side(table, side)
-
-
-def _hash_memory_ns(cache, step: JoinStep) -> float:
-    """Memory-access cost of a plain hash join under *cache*: build and
-    probe are random accesses into a full-build-size hash table."""
-    if cache is None:
-        return 0.0
-    n_build = int(min(step.rows_left, step.rows_right))
-    n_probe = int(step.rows_left + step.rows_right) - n_build
-    working_set = max(1, kernels.HASH_TABLE_BYTES_PER_ROW * n_build)
-    return (cache.random_accesses(n_build, working_set)
-            + cache.random_accesses(n_probe, working_set))
-
-
-def _radix_extra_ns(cache, step: JoinStep) -> float:
-    """Partitioning overhead plus the (cache-resident) access cost of a
-    radix join.  Without a cache model the partitioning passes make
-    radix strictly costlier than hash, so it is never chosen — exactly
-    the pre-cache-conscious plan space."""
-    from repro.db.context import CostParameters
-    from repro.hardware.cache import DEFAULT_CACHE_MODEL
-
-    n_build = int(min(step.rows_left, step.rows_right))
-    n_probe = int(step.rows_left + step.rows_right) - n_build
-    n_total = n_build + n_probe
-    if cache is not None and cache.levels:
-        cache_bytes = cache.levels[-1].size_bytes
-    else:
-        cache_bytes = DEFAULT_CACHE_MODEL.l2_bytes
-    bits = kernels.radix_bits_for(n_build, cache_bytes)
-    passes = kernels.radix_passes(bits)
-    costs = CostParameters()
-    ns = passes * costs.radix_partition_ns_per_row * n_total
-    if passes:
-        ns += (1 << bits) * costs.radix_partition_setup_ns
-    if cache is not None:
-        for _ in range(passes):
-            ns += cache.sequential_scan(n_total, 16)
-        working_set = max(
-            1, (kernels.HASH_TABLE_BYTES_PER_ROW * n_build) >> bits)
-        ns += cache.random_accesses(n_build, working_set)
-        ns += cache.random_accesses(n_probe, working_set)
-    return ns
+    joined = {step.table for step in context.steps}
+    for table, operator in hints.scans:
+        if table not in context.scan_costs:
+            raise PlanError(
+                f"SCAN hint references unknown table {table!r}")
+        if operator == "index" \
+                and "index" not in context.scan_costs[table]:
+            raise PlanError(
+                f"SCAN({table} index) hint: no usable index "
+                f"(equality predicate on an indexed column needed)")
+        assignment.scan_ops[table] = operator
+    for table, operator in hints.join_ops:
+        if table not in joined:
+            raise PlanError(
+                f"JOIN_OP hint references {table!r}, which no join "
+                f"step introduces (first table cannot be hinted)")
+        assignment.join_ops[table] = operator
+    for table, side in hints.build_sides:
+        if table not in joined:
+            raise PlanError(
+                f"BUILD hint references {table!r}, which no join "
+                f"step introduces")
+        assignment.build_sides[table] = side
+    return assignment
 
 
 def join_operator_cost(model: CostModel, operator: str,
@@ -240,23 +133,19 @@ def join_operator_cost(model: CostModel, operator: str,
 
     Merge joins pay for the Sort enforcers the executor requires on
     both (unsorted) inputs; that keeps merge honest against hash until
-    interesting orders are tracked.  With a *cache* hierarchy the hash
-    join additionally pays random-access memory latency sized by its
-    build input, while the radix join pays partitioning passes but
-    probes cache-resident partitions — so radix wins exactly when the
-    build side outgrows the cache.
+    interesting orders are tracked.  Hash and radix joins add the terms
+    of :func:`~repro.db.operators.join_cost_terms` that the executor
+    charges, under default cost parameters and with the radix join's
+    bits auto-sized as the executor sizes them; the engine's
+    ``EngineConfig.costs`` and a forced ``EngineConfig.radix_bits`` do
+    not reach the planner, so under either the executor may charge
+    other terms than were priced.  With a *cache* hierarchy the hash
+    join pays random-access memory latency sized by its build input,
+    while the radix join pays partitioning passes but probes
+    cache-resident partitions — so radix wins exactly when the build
+    side outgrows the cache.  Without a cache the partitioning passes
+    make radix strictly costlier than hash, so it is never chosen.
     """
-    if operator == "hash":
-        return (model.operator_ns("HashJoin", step.rows_left,
-                                  step.rows_out, step.rows_right)
-                + _hash_memory_ns(cache, step))
-    if operator == "radix":
-        return (model.operator_ns("RadixHashJoin", step.rows_left,
-                                  step.rows_out, step.rows_right)
-                + _radix_extra_ns(cache, step))
-    if operator == "loop":
-        return model.operator_ns("NestedLoopJoin", step.rows_left,
-                                 step.rows_out, step.rows_right)
     if operator == "merge":
         return (model.operator_ns("MergeJoin", step.rows_left,
                                   step.rows_out, step.rows_right)
@@ -264,4 +153,17 @@ def join_operator_cost(model: CostModel, operator: str,
                                     step.rows_left)
                 + model.operator_ns("Sort", step.rows_right,
                                     step.rows_right))
-    raise PlanError(f"unknown join operator {operator!r}")
+    if operator == "loop":
+        return model.operator_ns("NestedLoopJoin", step.rows_left,
+                                 step.rows_out, step.rows_right)
+    if operator not in ("hash", "radix"):
+        raise PlanError(f"unknown join operator {operator!r}")
+    kind = "RadixHashJoin" if operator == "radix" else "HashJoin"
+    n_build = int(min(step.rows_left, step.rows_right))
+    n_probe = int(step.rows_left + step.rows_right) - n_build
+    bits = join_radix_bits(cache, n_build) if operator == "radix" else 0
+    partitioning, memory = join_cost_terms(CostParameters(), cache,
+                                           n_build, n_probe, bits)
+    return (model.operator_ns(kind, step.rows_left, step.rows_out,
+                              step.rows_right)
+            + sum(partitioning + memory))

@@ -301,10 +301,6 @@ class StatisticsCatalog:
             self.version += 1
         return n
 
-    @property
-    def analyzed_tables(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._tables))
-
     def __len__(self) -> int:
         return len(self._tables)
 

@@ -96,10 +96,6 @@ class ZoneMap:
     def n_blocks(self) -> int:
         return len(self.entries)
 
-    def block_slice(self, block: int, n_rows: int) -> slice:
-        start = block * self.block_rows
-        return slice(start, min(start + self.block_rows, n_rows))
-
 
 def _build_zone_map(name: str, dtype: DataType, data: np.ndarray,
                     dictionary: Optional[Dictionary],

@@ -107,10 +107,6 @@ class SystemPlan:
     forced: bool = False
     raw: str = ""
 
-    def same_shape(self, other: "SystemPlan") -> bool:
-        """Same logical shape: identical base-table join order."""
-        return self.join_order == other.join_order
-
 
 def _row_sort_key(row: Tuple[Any, ...]) -> Tuple[str, ...]:
     # Stringified keys give a total order across mixed int/float/str

@@ -51,9 +51,6 @@ class Clock:
     def sample(self) -> ClockSample:
         raise NotImplementedError
 
-    def elapsed_since(self, start: ClockSample) -> ClockSample:
-        return self.sample() - start
-
 
 class WallClock(Clock):
     """Real time only; user/system read as zero."""

@@ -109,9 +109,6 @@ class ExperimentSuite:
     def res_path(self, name: str) -> Path:
         return self.root / "res" / f"{name}.csv"
 
-    def graph_path(self, name: str) -> Path:
-        return self.root / "graphs" / f"{name}.gnu"
-
     # -- execution ----------------------------------------------------------------
 
     def run(self, name: str) -> ExperimentRun:

@@ -198,12 +198,6 @@ class ServeReport:
     def n_good(self) -> int:
         return self.counts.get(STATUS_OK, 0)
 
-    @property
-    def n_served(self) -> int:
-        """Full executions delivered inside the horizon."""
-        return (self.counts.get(STATUS_OK, 0)
-                + self.counts.get(STATUS_LATE, 0))
-
     def verdict(self) -> str:
         """Survival classification of this cell.
 

@@ -14,6 +14,10 @@ Three oracles guard the new fast paths:
   optimizer's statistics stale but must never change results (zone
   maps and dictionaries live on the *table* and are rebuilt with it).
 
+A fourth check keeps the planner honest: what it adds to a hash or
+radix join's estimate is exactly what the executor charges for memory
+access and partitioning.
+
 Same-executor comparisons are exact (identical kernels, identical
 summation order); only loop-vs-vectorized comparisons would need a
 float tolerance, and those live in test_kernels_differential.py.
@@ -22,9 +26,26 @@ float tolerance, and those live in test_kernels_differential.py.
 import numpy as np
 import pytest
 
-from repro.db import DataType, Database, Engine, EngineConfig, Table
+from repro.db import (
+    DEFAULT_COST_MODEL,
+    BufferPool,
+    CostParameters,
+    DataType,
+    Database,
+    DiskModel,
+    Engine,
+    EngineConfig,
+    ExecutionContext,
+    HashJoin,
+    JoinStep,
+    SeqScan,
+    Table,
+    join_operator_cost,
+)
 from repro.db import kernels
+from repro.db.operators import RadixHashJoin, join_cost_terms
 from repro.hardware.cache import CacheModel
+from repro.measurement import VirtualClock
 
 JOIN_HINTS = ("hash", "merge", "loop", "radix")
 
@@ -114,6 +135,92 @@ class TestJoinOperatorSweep:
             forced = sorted(_rows(db, JOIN_SQL.format(op="radix"),
                                   "vectorized", radix_bits=bits))
             assert forced == auto
+
+
+class _RecordingContext(ExecutionContext):
+    """An execution context that keeps every CPU charge it is given."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.charges = []
+
+    def charge_cpu(self, category, ns):
+        self.charges.append((category, ns))
+        super().charge_cpu(category, ns)
+
+
+class TestPlannerPricesJoinsAsCharged:
+    """``join_operator_cost`` minus the model's operator estimate equals
+    the access and partitioning charges the join operator makes, and a
+    forced bit count is charged as :func:`join_cost_terms` defines it."""
+
+    #: Probe rows, and build rows whose hash table (48 B/row) fits the
+    #: 2 MiB last-level cache (auto-sized to 0 bits) or outgrows it
+    #: (auto-sized to 1 bit).
+    N_PROBE, N_SMALL_BUILD, N_LARGE_BUILD = 60_000, 5_000, 50_000
+
+    def _access_charges(self, join, n_build, executor, cached):
+        """The join's memory-access and partitioning charges, with the
+        build side checked to be the smaller (right) input."""
+        cache = CacheModel.tutorial_laptop().hierarchy() if cached \
+            else None
+        db = _join_db(5, n_left=self.N_PROBE, n_right=n_build)
+        clock = VirtualClock()
+        ctx = _RecordingContext(
+            database=db, buffer_pool=BufferPool(1024, DiskModel(), clock),
+            clock=clock, executor=executor, cache=cache)
+        join.execute(ctx)
+        assert join.span_extras["build_side"] == "right"
+        hash_charges = [ns for category, ns in ctx.charges
+                        if category == "hash"]
+        # The per-row CPU term comes last: one charge vectorized, build
+        # and probe in the loop executor.
+        return cache, hash_charges[:-1 if executor == "vectorized" else -2]
+
+    @staticmethod
+    def _inputs():
+        return SeqScan("l", ["fk"]), SeqScan("r", ["pk"])
+
+    @pytest.mark.parametrize("executor", ["loop", "vectorized"])
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("operator, n_build, bits", [
+        ("hash", N_LARGE_BUILD, None),
+        ("radix", N_SMALL_BUILD, 0),
+        ("radix", N_LARGE_BUILD, 1)])
+    def test_planner_extra_cost_matches_charges(self, executor, cached,
+                                                operator, n_build, bits):
+        join_class = HashJoin if operator == "hash" else RadixHashJoin
+        join = join_class(*self._inputs(), ["fk"], ["pk"])
+        cache, access = self._access_charges(join, n_build, executor,
+                                             cached)
+        assert join.span_extras.get("radix_bits") == bits
+        assert len(access) == int(bool(bits)) + int(cached)
+
+        step = JoinStep(table="r", left_keys=("fk",), right_keys=("pk",),
+                        rows_left=self.N_PROBE, rows_right=n_build,
+                        rows_out=self.N_PROBE)
+        model = DEFAULT_COST_MODEL
+        extra = (join_operator_cost(model, operator, step, cache=cache)
+                 - model.operator_ns(join_class.__name__, step.rows_left,
+                                     step.rows_out, step.rows_right))
+        assert extra == pytest.approx(sum(access), rel=1e-12, abs=1e-6)
+
+    @pytest.mark.parametrize("executor", ["loop", "vectorized"])
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("bits", [0, 8])
+    def test_forced_bits_charge_join_cost_terms(self, executor, cached,
+                                                bits):
+        join = RadixHashJoin(*self._inputs(), ["fk"], ["pk"],
+                             radix_bits=bits)
+        cache, access = self._access_charges(join, self.N_LARGE_BUILD,
+                                             executor, cached)
+        assert join.span_extras["radix_bits"] == bits
+        partitioning, memory = join_cost_terms(
+            CostParameters(), cache, self.N_LARGE_BUILD, self.N_PROBE,
+            bits)
+        assert bool(partitioning) == bool(bits)
+        assert access == [sum(terms) for terms in (partitioning, memory)
+                          if terms]
 
 
 def _scan_db(seed, n=10_000, null_fraction=0.0):

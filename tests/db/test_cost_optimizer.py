@@ -22,6 +22,7 @@ from repro.db import (
     EngineConfig,
     Histogram,
     OperatorCost,
+    PlanHints,
     PlannerOptions,
     StatisticsCatalog,
     Table,
@@ -202,6 +203,11 @@ class TestPlanHints:
             parse_hints("JOIN_OP(t hash) JOIN_OP(t merge)")
         with pytest.raises(SqlSyntaxError):
             parse_hints("JOIN_ORDER(a a)")
+
+    @pytest.mark.parametrize("field", ["join_ops", "scans", "build_sides"])
+    def test_hand_built_hints_are_validated(self, field):
+        with pytest.raises(PlanError):
+            PlanHints(**{field: (("t", "bogus"),)})
 
 
 # ---------------------------------------------------------------------------
