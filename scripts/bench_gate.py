@@ -1,75 +1,97 @@
 #!/usr/bin/env python
-"""Benchmark-regression gate: smoke benches vs a committed baseline.
+"""Benchmark-regression gate: same-runner A/B against a base commit.
 
-Runs a curated subset of fast benchmarks under ``pytest-benchmark``,
-exports their stats with ``--benchmark-json``, and gates them against
-the committed ``BENCH_BASELINE.json`` in one of two modes:
+Checks out ``--base`` (default ``HEAD^1``: the base branch tip on a PR
+merge commit, the previous commit on a push) in a temporary detached
+``git worktree`` and runs the smoke subset under ``pytest-benchmark``
+in alternating processes, base and candidate (this working tree) each
+from its own checkout, in ABBA order.  Both sides therefore share the
+runner, the data, the interpreter and the time window — the tutorial's
+"compare like with like".
 
-**Threshold mode** (default, legacy): each benchmark's *median* must
-stay within ``--tolerance`` (default 25%) of the baseline median.
-Simple, but it compares two single numbers — on a noisy machine it
-flakes on flat trajectories and can wave a real regression through.
-
-**Statistical mode** (``--stat``): the full per-benchmark sample
-arrays are compared with the noise-aware verdict of
+The unit of comparison is the process run (Kalibera & Jones,
+"Rigorous Benchmarking in Reasonable Time", ISMM 2013): each side's
+sample for a benchmark is its per-process medians, judged by
 :func:`repro.measurement.speedup.significant_regression` — a two-sided
-Mann-Whitney U test at ``--alpha`` plus a practical-significance floor
-of ``--min-effect``.  A benchmark fails only when its samples are
-*statistically* distinguishable from baseline AND the median moved by
-more than the effect floor.  Each run also appends its sample arrays
-to ``BENCH_HISTORY.jsonl`` and prints an ASCII trend per benchmark, so
-a slow drift is visible before it trips any gate.
+Mann-Whitney U test plus a :data:`MIN_EFFECT` floor on the median
+(Touati's Speedup-Test, arXiv 0902.1035) — so the test and its
+bootstrap CI see between-run noise, not just within-run noise.  Each
+benchmark is tested at :data:`ALPHA` divided by the number gated, so
+the whole run's false-red rate is at most :data:`ALPHA`; :data:`N_PAIRS`
+is the smallest number of A/B pairs at which the exact test can reject
+at that level.
+
+Each run appends one record (the candidate's median per benchmark, and
+its backend tag) to ``BENCH_HISTORY.jsonl`` and prints an ASCII trend
+per benchmark, so a slow drift is visible before it trips the gate.
 
 Usage::
 
-    python scripts/bench_gate.py                 # threshold gate
-    python scripts/bench_gate.py --stat          # noise-aware gate
-    python scripts/bench_gate.py --update        # re-record baseline
-    python scripts/bench_gate.py --advisory      # report, never fail
-    python scripts/bench_gate.py --compare-only --json results.json
-                                                 # re-judge a saved run
+    python scripts/bench_gate.py                   # vs HEAD^1
+    python scripts/bench_gate.py --base main       # vs another revision
+    python scripts/bench_gate.py --json ab.json    # keep both sides'
+                                                   # per-process medians
 
-Exit codes: 0 gate passed (or baseline updated, or --advisory), 1
-regression detected, 2 infrastructure error (bench run failed,
-baseline missing or unreadable).
-
-The baseline records medians *and sample arrays* from one machine;
-keep the smoke subset to benchmarks dominated by deterministic
-simulated-time arithmetic and re-record with ``--update`` (committing
-the new file) whenever an intentional performance change or a hardware
-change shifts them.
+Exit codes: 0 gate passed, 1 regression detected, 2 infrastructure
+error (base checkout or a bench run failed, or too few samples to
+reject at the per-benchmark level).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# The statistical mode reuses the library's speedup analysis; the
-# script must work from a raw checkout, so put src/ on the path.
+# The verdict reuses the library's speedup analysis; the script must
+# work from a raw checkout, so put src/ on the path.
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.measurement.speedup import significant_regression  # noqa: E402
+from repro.errors import MeasurementError  # noqa: E402
+from repro.measurement.speedup import (  # noqa: E402
+    protocol_estimate,
+    significant_regression,
+)
 
-DEFAULT_BASELINE = REPO_ROOT / "BENCH_BASELINE.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_HISTORY.jsonl"
-DEFAULT_TOLERANCE = 0.25
-DEFAULT_ALPHA = 0.05
-DEFAULT_MIN_EFFECT = 0.10
 
-#: The smoke subset: fast benchmarks (µs-to-ms medians, thousands of
-#: calibration rounds) spanning the design, analysis, guideline and
-#: metrics layers.  Keep entries fast and low-variance — the gate runs
-#: on every PR.
+#: ``{fullname: [per-process median seconds, ...]}`` for one side.
+Samples = Dict[str, List[float]]
+
+#: Family-wise significance level: each of the m benchmarks gated is
+#: tested at ALPHA / m (Bonferroni), so a run on unchanged code fails
+#: with probability at most ALPHA however many benchmarks it gates.
+ALPHA = 0.05
+#: Practical-significance floor: the candidate's median must be more
+#: than this fraction slower before a significant shift fails the gate.
+MIN_EFFECT = 0.10
+#: A/B process pairs.  The exact two-sided test's best p-value, at
+#: complete separation, is 2 / C(2n, n): 0.00058 at n = 7, below
+#: ALPHA / 29 for the 29 benchmarks of the subset (n = 6 gives 0.0022,
+#: too large) and usable up to 85.  Past that, significant_regression
+#: refuses the sample and the gate exits 2.
+N_PAIRS = 7
+#: Process order, ABBA-balanced so a linear drift of the runner over
+#: the session favours neither side.
+RUN_ORDER: Tuple[str, ...] = tuple(itertools.chain.from_iterable(
+    ("base", "candidate") if pair % 2 == 0 else ("candidate", "base")
+    for pair in range(N_PAIRS)))
+
+#: The smoke subset: 29 fast benchmarks spanning the design, analysis,
+#: guideline, metrics, vectorized, serving, optimizer, cross-system and
+#: cache layers.  Keep entries fast and low-variance — the gate runs
+#: every one of them 2 * N_PAIRS times on every PR.
 SMOKE_BENCHMARKS = (
     "benchmarks/bench_e07_design_sizes.py",
     "benchmarks/bench_e09_twotwo_design.py",
@@ -84,47 +106,58 @@ SMOKE_BENCHMARKS = (
 )
 
 
-def run_benchmarks(json_path: Path) -> None:
-    """Run the smoke subset, exporting pytest-benchmark JSON."""
+@contextmanager
+def base_checkout(revision: str) -> Iterator[Path]:
+    """A detached worktree of *revision* in a temp dir, removed on exit."""
+    root = Path(tempfile.mkdtemp(prefix="bench-gate-base-"))
+    added = False
+    try:
+        result = subprocess.run(
+            ["git", "worktree", "add", "--detach", "--quiet", str(root),
+             revision], cwd=REPO_ROOT, capture_output=True, text=True)
+        if result.returncode != 0:
+            raise RuntimeError(f"cannot check out base {revision!r}: "
+                               f"{result.stderr.strip()}")
+        added = True
+        yield root
+    finally:
+        if added:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(root)], cwd=REPO_ROOT,
+                           capture_output=True)
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def run_benchmarks(checkout: Path, json_path: Path) -> None:
+    """Run *checkout*'s smoke subset in one process, exporting
+    pytest-benchmark JSON; its console output is shown only on failure.
+    Smoke files the checkout lacks are left out, so their benches show
+    up as present on one side only."""
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
+    src = str(checkout / "src")
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
-    command = [sys.executable, "-m", "pytest", *SMOKE_BENCHMARKS,
+    files = [f for f in SMOKE_BENCHMARKS if (checkout / f).exists()]
+    command = [sys.executable, "-m", "pytest", *files,
                "--benchmark-only", "--benchmark-json", str(json_path),
                "-q", "-p", "no:cacheprovider"]
-    result = subprocess.run(command, cwd=REPO_ROOT, env=env)
+    result = subprocess.run(command, cwd=checkout, env=env,
+                            capture_output=True, text=True)
     if result.returncode != 0:
-        raise RuntimeError(
-            f"benchmark run failed (pytest exit {result.returncode})")
+        print(result.stdout[-4000:] + result.stderr[-4000:],
+              file=sys.stderr)
+        raise RuntimeError(f"benchmark run in {checkout} failed "
+                           f"(pytest exit {result.returncode})")
 
 
-def load_medians(json_path: Path) -> Dict[str, float]:
-    """``{fullname: median_seconds}`` from a pytest-benchmark export."""
+def load_process_medians(json_path: Path) -> Dict[str, float]:
+    """``{fullname: median_seconds}`` of one pytest-benchmark process."""
     payload = json.loads(json_path.read_text())
-    medians: Dict[str, float] = {}
-    for bench in payload.get("benchmarks", []):
-        medians[bench["fullname"]] = float(bench["stats"]["median"])
+    medians = {bench["fullname"]: float(bench["stats"]["median"])
+               for bench in payload.get("benchmarks", [])}
     if not medians:
         raise RuntimeError(f"no benchmarks recorded in {json_path}")
     return medians
-
-
-def load_samples(json_path: Path) -> Dict[str, List[float]]:
-    """``{fullname: [seconds, ...]}`` from a pytest-benchmark export.
-
-    ``stats.data`` holds every measured round — the raw material the
-    statistical gate needs.
-    """
-    payload = json.loads(json_path.read_text())
-    samples: Dict[str, List[float]] = {}
-    for bench in payload.get("benchmarks", []):
-        data = bench.get("stats", {}).get("data")
-        if data:
-            samples[bench["fullname"]] = [float(v) for v in data]
-    if not samples:
-        raise RuntimeError(f"no benchmark samples in {json_path}")
-    return samples
 
 
 def load_backends(json_path: Path) -> Dict[str, str]:
@@ -143,159 +176,71 @@ def load_backends(json_path: Path) -> Dict[str, str]:
     return backends
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
+def run_ab(checkouts: Dict[str, Path], scratch: Path
+           ) -> Tuple[Dict[str, Samples], Dict[str, str]]:
+    """Run :data:`RUN_ORDER`'s processes; return each side's
+    ``{fullname: [per-process median, ...]}`` and the candidate's
+    backend tags."""
+    samples: Dict[str, Samples] = {side: {} for side in checkouts}
+    backends: Dict[str, str] = {}
+    for i, side in enumerate(RUN_ORDER):
+        print(f"bench gate: process {i + 1}/{len(RUN_ORDER)} ({side})",
+              flush=True)
+        json_path = scratch / f"run{i}-{side}.json"
+        run_benchmarks(checkouts[side], json_path)
+        for name, median in load_process_medians(json_path).items():
+            samples[side].setdefault(name, []).append(median)
+        if side == "candidate":
+            backends.update(load_backends(json_path))
+    return samples, backends
 
 
-def write_baseline(baseline_path: Path,
-                   samples: Dict[str, List[float]]) -> None:
-    """Record medians and full sample arrays for both gate modes."""
-    payload = {
-        "comment": "Per-benchmark medians and sample arrays (seconds) "
-                   "from scripts/bench_gate.py --update; the threshold "
-                   "gate compares medians, the --stat gate compares "
-                   "sample distributions.",
-        "tolerance": DEFAULT_TOLERANCE,
-        "machine": {"python": platform.python_version(),
-                    "platform": platform.platform()},
-        "benchmarks": {name: {"median_s": _median(values),
-                              "samples": values}
-                       for name, values in sorted(samples.items())},
-    }
-    baseline_path.write_text(json.dumps(payload, indent=2,
-                                        sort_keys=True) + "\n")
+def ab_compare(base: Samples, candidate: Samples) -> int:
+    """Print the per-benchmark A/B verdicts; return the exit code.
 
-
-def _read_baseline(baseline_path: Path) -> Optional[dict]:
-    """The parsed baseline payload, or None after printing an error."""
-    if not baseline_path.exists():
-        print(f"error: baseline {baseline_path} not found; record one "
-              "with: python scripts/bench_gate.py --update",
-              file=sys.stderr)
-        return None
-    try:
-        payload = json.loads(baseline_path.read_text())
-        payload["benchmarks"]  # noqa: B018 — shape check
-        return payload
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: baseline {baseline_path} is unreadable: {exc}",
-              file=sys.stderr)
-        return None
-
-
-def compare(current: Dict[str, float], baseline_path: Path,
-            tolerance: float) -> int:
-    """Threshold mode: print the comparison table, return exit code."""
-    payload = _read_baseline(baseline_path)
-    if payload is None:
-        return 2
-    try:
-        baseline = {name: float(entry["median_s"]) for name, entry
-                    in payload["benchmarks"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: baseline {baseline_path} is unreadable: {exc}",
-              file=sys.stderr)
-        return 2
-
-    regressions = []
-    print(f"benchmark gate: tolerance +{100 * tolerance:.0f}% on the "
-          f"median, baseline {baseline_path.name}")
-    print(f"{'benchmark':<58} {'baseline':>10} {'current':>10} "
-          f"{'delta':>8}")
-    for name in sorted(set(baseline) | set(current)):
-        if name not in current:
-            print(f"error: benchmark {name!r} is in the baseline but "
-                  "was not run — smoke subset and baseline have "
-                  "diverged; re-record with --update", file=sys.stderr)
-            return 2
-        if name not in baseline:
-            print(f"{name:<58} {'--':>10} "
-                  f"{1000 * current[name]:>8.3f}ms {'new':>8}  "
-                  "(not gated; record with --update)")
-            continue
-        ratio = current[name] / baseline[name]
-        delta = f"{100 * (ratio - 1):+.1f}%"
-        verdict = ""
-        if ratio > 1 + tolerance:
-            verdict = "  << REGRESSION"
-            regressions.append((name, ratio))
-        print(f"{name:<58} {1000 * baseline[name]:>8.3f}ms "
-              f"{1000 * current[name]:>8.3f}ms {delta:>8}{verdict}")
-    if regressions:
-        worst = max(regressions, key=lambda item: item[1])
-        print(f"\ngate FAILED: {len(regressions)} benchmark(s) "
-              f"regressed beyond +{100 * tolerance:.0f}% "
-              f"(worst: {worst[0]} at {100 * (worst[1] - 1):+.1f}%)",
-              file=sys.stderr)
-        return 1
-    print("\ngate passed: no benchmark regressed beyond "
-          f"+{100 * tolerance:.0f}%")
-    return 0
-
-
-def stat_compare(current: Dict[str, List[float]], baseline_path: Path,
-                 alpha: float = DEFAULT_ALPHA,
-                 min_effect: float = DEFAULT_MIN_EFFECT) -> int:
-    """Statistical mode: noise-aware verdict per benchmark.
-
-    A benchmark regresses only when its sample distribution differs
-    from baseline at level *alpha* (Mann-Whitney U) AND its median is
-    more than *min_effect* slower — a flat-but-noisy trajectory whose
-    single medians wander past a raw threshold passes here.
+    A benchmark present on one side only is reported, not gated.
     """
-    payload = _read_baseline(baseline_path)
-    if payload is None:
-        return 2
-    baseline: Dict[str, List[float]] = {}
-    for name, entry in payload["benchmarks"].items():
-        values = entry.get("samples")
-        baseline[name] = [float(v) for v in values] if values else []
-
     regressions = []
-    print(f"benchmark gate (--stat): Mann-Whitney alpha={alpha}, "
-          f"min effect +{100 * min_effect:.0f}% on the median, "
-          f"baseline {baseline_path.name}")
-    print(f"{'benchmark':<58} {'baseline':>10} {'current':>10} "
-          f"{'delta':>8} {'p':>8}")
-    for name in sorted(set(baseline) | set(current)):
-        if name not in current:
-            print(f"error: benchmark {name!r} is in the baseline but "
-                  "was not run — smoke subset and baseline have "
-                  "diverged; re-record with --update", file=sys.stderr)
+    names = sorted(set(base) | set(candidate))
+    width = max(map(len, names), default=9)
+    n_gated = len(set(base) & set(candidate))
+    alpha = ALPHA / max(1, n_gated)
+    print(f"benchmark gate: same-runner A/B over per-process medians, "
+          f"Mann-Whitney alpha={ALPHA} over {n_gated} benchmark(s) "
+          f"({alpha:.5f} each), min effect +{100 * MIN_EFFECT:.0f}% on "
+          "the median")
+    print(f"{'benchmark':<{width}} {'base':>10} {'candidate':>10} "
+          f"{'speedup [95% CI]':>24} {'p':>7}")
+    for name in names:
+        if name not in base or name not in candidate:
+            side = "candidate" if name in candidate else "base"
+            print(f"{name:<{width}} (only in {side}; not gated)")
+            continue
+        try:
+            verdict = significant_regression(
+                base[name], candidate[name], alpha=alpha,
+                min_effect=MIN_EFFECT)
+        except MeasurementError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
             return 2
-        if name not in baseline:
-            print(f"{name:<58} {'--':>10} "
-                  f"{1000 * _median(current[name]):>8.3f}ms "
-                  f"{'new':>8} {'--':>8}  (not gated; record with "
-                  "--update)")
-            continue
-        if not baseline[name]:
-            print(f"{name:<58} (baseline has no samples; re-record "
-                  "with --update)  -- not stat-gated")
-            continue
-        verdict = significant_regression(baseline[name], current[name],
-                                         alpha=alpha,
-                                         min_effect=min_effect)
-        base_med = _median(baseline[name])
-        cur_med = _median(current[name])
-        delta = f"{100 * (cur_med / base_med - 1):+.1f}%"
+        ci = verdict.ci
         flag = "  << REGRESSION" if verdict.regression else ""
-        print(f"{name:<58} {1000 * base_med:>8.3f}ms "
-              f"{1000 * cur_med:>8.3f}ms {delta:>8} "
-              f"{verdict.p_value:>8.4f}{flag}")
+        print(f"{name:<{width}} "
+              f"{1000 * protocol_estimate(base[name]):>8.3f}ms "
+              f"{1000 * protocol_estimate(candidate[name]):>8.3f}ms "
+              f"{verdict.speedup:>7.3f}x [{ci.low:.3f}, {ci.high:.3f}] "
+              f"{verdict.p_value:>7.4f}{flag}")
         if verdict.regression:
             regressions.append((name, verdict))
     if regressions:
-        worst = max(regressions,
-                    key=lambda item: 1.0 / item[1].speedup)
         print(f"\ngate FAILED: {len(regressions)} benchmark(s) with a "
-              f"statistically significant regression "
-              f"(worst: {worst[0]} — {worst[1].format()})",
-              file=sys.stderr)
+              "statistically significant regression:", file=sys.stderr)
+        for name, verdict in regressions:
+            print(f"  {name} — {verdict.format()}", file=sys.stderr)
         return 1
     print("\ngate passed: no statistically significant regression "
-          f"(alpha={alpha}, min effect +{100 * min_effect:.0f}%)")
+          f"(family-wise alpha={ALPHA}, min effect "
+          f"+{100 * MIN_EFFECT:.0f}%)")
     return 0
 
 
@@ -303,10 +248,9 @@ def stat_compare(current: Dict[str, List[float]], baseline_path: Path,
 # History and trends
 # ---------------------------------------------------------------------------
 
-def append_history(history_path: Path,
-                   samples: Dict[str, List[float]],
+def append_history(history_path: Path, medians: Dict[str, float],
                    backends: Optional[Dict[str, str]] = None) -> dict:
-    """Append one run's sample arrays to the JSONL history.
+    """Append one run's median per benchmark to the JSONL history.
 
     Returns the record written.  The run index continues from the last
     recorded entry, so the history orders runs without wall-clock
@@ -316,8 +260,8 @@ def append_history(history_path: Path,
     entries = read_history(history_path)
     backends = backends or {}
 
-    def stats(name: str, values: List[float]) -> dict:
-        entry = {"median_s": _median(values), "samples": values}
+    def stats(name: str, median: float) -> dict:
+        entry = {"median_s": median}
         if name in backends:
             entry["backend"] = backends[name]
         return entry
@@ -326,8 +270,8 @@ def append_history(history_path: Path,
         "run": (entries[-1]["run"] + 1) if entries else 1,
         "machine": {"python": platform.python_version(),
                     "platform": platform.platform()},
-        "benchmarks": {name: stats(name, values)
-                       for name, values in sorted(samples.items())},
+        "benchmarks": {name: stats(name, median)
+                       for name, median in sorted(medians.items())},
     }
     history_path.parent.mkdir(parents=True, exist_ok=True)
     with history_path.open("a", encoding="utf-8") as handle:
@@ -398,91 +342,35 @@ def trend_report(entries: List[dict], width: int = 30) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark-regression gate (see module docstring).")
-    parser.add_argument("--update", action="store_true",
-                        help="re-record the baseline instead of gating")
-    parser.add_argument("--baseline", type=Path,
-                        default=DEFAULT_BASELINE,
-                        help="baseline JSON path (default: "
-                             "BENCH_BASELINE.json)")
+    parser.add_argument("--base", default="HEAD^1",
+                        help="git revision to compare against "
+                             "(default: HEAD^1)")
     parser.add_argument("--json", type=Path, default=None,
-                        help="keep the raw pytest-benchmark JSON here")
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE,
-                        help="allowed median slowdown as a fraction "
-                             "(default: 0.25 = +25%%)")
-    parser.add_argument("--stat", action="store_true",
-                        help="gate on sample distributions "
-                             "(Mann-Whitney + min effect) instead of "
-                             "the raw median threshold")
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help="significance level for --stat "
-                             "(default: 0.05)")
-    parser.add_argument("--min-effect", type=float,
-                        default=DEFAULT_MIN_EFFECT,
-                        help="practical-significance floor for --stat "
-                             "as a fraction (default: 0.10 = +10%%)")
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY,
-                        help="JSONL sample history (default: "
-                             "BENCH_HISTORY.jsonl)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the history")
-    parser.add_argument("--advisory", action="store_true",
-                        help="print the comparison but always exit 0")
-    parser.add_argument("--compare-only", action="store_true",
-                        help="reuse the existing --json results file "
-                             "instead of re-running the benchmarks")
+                        help="write both sides' per-process medians "
+                             "here")
     args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
-    if not 0.0 < args.alpha < 1.0:
-        parser.error("--alpha must be in (0, 1)")
-    if args.min_effect < 0:
-        parser.error("--min-effect must be non-negative")
-    if args.compare_only and args.json is None:
-        parser.error("--compare-only requires --json pointing at an "
-                     "existing results file")
 
-    if args.json is not None:
-        json_path = args.json
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        handle, name = tempfile.mkstemp(suffix=".json",
-                                        prefix="bench-gate-")
-        os.close(handle)
-        json_path = Path(name)
     try:
-        try:
-            if not args.compare_only:
-                run_benchmarks(json_path)
-            medians = load_medians(json_path)
-            samples = load_samples(json_path)
-            backends = load_backends(json_path)
-        except (RuntimeError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.update:
-            write_baseline(args.baseline, samples)
-            print(f"baseline updated: {args.baseline} "
-                  f"({len(samples)} benchmark(s))")
-            return 0
-        if not args.no_history:
-            append_history(args.history, samples, backends=backends)
-            print(trend_report(read_history(args.history)))
-            print()
-        if args.stat:
-            code = stat_compare(samples, args.baseline,
-                                alpha=args.alpha,
-                                min_effect=args.min_effect)
-        else:
-            code = compare(medians, args.baseline, args.tolerance)
-        if args.advisory and code == 1:
-            print("(advisory mode: regression reported but not "
-                  "failing the build)")
-            return 0
-        return code
-    finally:
-        if args.json is None:
-            json_path.unlink(missing_ok=True)
+        with base_checkout(args.base) as base_root, \
+                tempfile.TemporaryDirectory(prefix="bench-gate-") as tmp:
+            samples, backends = run_ab(
+                {"base": base_root, "candidate": REPO_ROOT}, Path(tmp))
+    except (RuntimeError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.json is not None:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        args.json.write_text(json.dumps(
+            {"base_revision": args.base, "run_order": list(RUN_ORDER),
+             "per_process_median_s": samples},
+            indent=2, sort_keys=True) + "\n")
+    append_history(DEFAULT_HISTORY,
+                   {name: protocol_estimate(values) for name, values
+                    in samples["candidate"].items()},
+                   backends=backends)
+    print(trend_report(read_history(DEFAULT_HISTORY)))
+    print()
+    return ab_compare(samples["base"], samples["candidate"])
 
 
 if __name__ == "__main__":

@@ -312,7 +312,9 @@ class Engine:
                               indexes=self.indexes,
                               stats=self.table_stats,
                               cost_model=self.config.cost_model,
-                              cache=self.planner_cache)
+                              cache=self.planner_cache,
+                              costs=self.config.costs,
+                              radix_bits=self.config.radix_bits)
 
     def _lookup_plan(self, sql: str) -> Tuple[Any, Optional[PlanNode]]:
         """``(key, plan)``: *sql*'s plan-cache key and its cached plan,

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.db.context import CostParameters
 from repro.db.costmodel import (
     CardinalityEstimator,
     CostModel,
@@ -171,7 +172,8 @@ def plan_statement(statement: SelectStatement, database: Database,
                    indexes: Optional[IndexCatalog] = None,
                    stats: Optional[StatisticsCatalog] = None,
                    cost_model: Optional[CostModel] = None,
-                   cache=None) -> PlanNode:
+                   cache=None, costs: Optional[CostParameters] = None,
+                   radix_bits: Optional[int] = None) -> PlanNode:
     """Build the physical plan for one statement.
 
     Dispatches to the v2 cost-based planner when the options say so or
@@ -179,7 +181,9 @@ def plan_statement(statement: SelectStatement, database: Database,
     cost-based-planner feature; they force its hands, so they imply it).
     Otherwise the v1 heuristic planner runs, unchanged.  *cache* is an
     optional counter-free :class:`~repro.hardware.cache.CacheHierarchy`
-    the cost-based planner uses to price join memory-access patterns.
+    the cost-based planner uses to price join memory-access patterns;
+    *costs* and *radix_bits* are the engine's charge constants and
+    forced radix bits, so joins are priced as the executor charges them.
     """
     options = options if options is not None else PlannerOptions()
     tables = statement.tables
@@ -189,7 +193,8 @@ def plan_statement(statement: SelectStatement, database: Database,
         raise PlanError(f"self-joins are not supported: {tables}")
     if options.cost_based or not statement.hints.is_empty:
         return _plan_cost_based(statement, database, options, indexes,
-                                stats, cost_model, cache)
+                                stats, cost_model, cache, costs,
+                                radix_bits)
     return _plan_heuristic(statement, database, options, indexes)
 
 
@@ -454,6 +459,9 @@ class _CostContext:
     residual: List[Tuple[Expr, FrozenSet[str]]]
     #: counter-free cache hierarchy for join memory costing (optional)
     cache: Optional[object] = None
+    #: the engine's charge constants and forced radix bits (optional)
+    costs: Optional[CostParameters] = None
+    radix_bits: Optional[int] = None
 
 
 def _collect_scan_info(statement: SelectStatement, database: Database,
@@ -560,7 +568,8 @@ def _extend(ctx: _CostContext, prefix: _JoinPrefix, table: str
                     rows_left=prefix.rows, rows_right=info.rows,
                     rows_out=rows_out)
     step_cost = min(join_operator_cost(ctx.model, op, step,
-                                       cache=ctx.cache)
+                                       cache=ctx.cache, costs=ctx.costs,
+                                       radix_bits=ctx.radix_bits)
                     for op in JOIN_OPERATORS)
     cost = prefix.cost + min(info.paths.values()) + step_cost
     before, after = set(prefix.order), set(prefix.order) | {table}
@@ -678,7 +687,8 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
                      indexes: Optional[IndexCatalog],
                      stats: Optional[StatisticsCatalog],
                      cost_model: Optional[CostModel],
-                     cache=None) -> PlanNode:
+                     cache=None, costs: Optional[CostParameters] = None,
+                     radix_bits: Optional[int] = None) -> PlanNode:
     """The v2 planner: enumerate join orders, select physical operators
     (cost first, then hints), assemble an annotated plan."""
     model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
@@ -714,7 +724,8 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
     scans = _collect_scan_info(statement, database, per_table_columns,
                                pushed, estimator, model, indexes)
     ctx = _CostContext(estimator=estimator, model=model, edges=edges,
-                       scans=scans, residual=residual, cache=cache)
+                       scans=scans, residual=residual, cache=cache,
+                       costs=costs, radix_bits=radix_bits)
 
     # -- join-order enumeration -------------------------------------------
     # Tables carrying JOIN_OP/BUILD hints must be *introduced* by a join
@@ -742,7 +753,7 @@ def _plan_cost_based(statement: SelectStatement, database: Database,
             steps=prefix.steps,
             scan_costs={t: dict(scans[t].paths) for t in tables},
             cost_model=model,
-            cache=cache),
+            cache=cache, costs=costs, radix_bits=radix_bits),
         hints)
 
     plan = _assemble_cost_plan(statement, ctx, prefix, assignment,

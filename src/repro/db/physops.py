@@ -58,6 +58,11 @@ class OperatorSelectionContext:
     #: cost memory-access patterns (None = memory latency invisible, the
     #: pre-cache-conscious behaviour; radix then never wins).
     cache: Optional[object] = None
+    #: The engine's charge constants (``EngineConfig.costs``; None =
+    #: the defaults) and forced radix bits (``EngineConfig.radix_bits``;
+    #: None = auto-sized), so joins are priced as the executor charges.
+    costs: Optional[CostParameters] = None
+    radix_bits: Optional[int] = None
 
 
 @dataclass
@@ -95,7 +100,9 @@ def select_operators(context: OperatorSelectionContext,
         assignment.scan_ops[table] = min(paths, key=paths.get)
     for step in context.steps:
         costs = {op: join_operator_cost(model, op, step,
-                                        cache=context.cache)
+                                        cache=context.cache,
+                                        costs=context.costs,
+                                        radix_bits=context.radix_bits)
                  for op in JOIN_OPERATORS}
         assignment.join_ops[step.table] = min(costs, key=costs.get)
         assignment.build_sides[step.table] = \
@@ -128,20 +135,20 @@ def select_operators(context: OperatorSelectionContext,
 
 
 def join_operator_cost(model: CostModel, operator: str,
-                       step: JoinStep, cache=None) -> float:
+                       step: JoinStep, cache=None,
+                       costs: Optional[CostParameters] = None,
+                       radix_bits: Optional[int] = None) -> float:
     """Estimated ns for executing one join step with *operator*.
 
     Merge joins pay for the Sort enforcers the executor requires on
     both (unsorted) inputs; that keeps merge honest against hash until
     interesting orders are tracked.  Hash and radix joins add the terms
     of :func:`~repro.db.operators.join_cost_terms` that the executor
-    charges, under default cost parameters and with the radix join's
-    bits auto-sized as the executor sizes them; the engine's
-    ``EngineConfig.costs`` and a forced ``EngineConfig.radix_bits`` do
-    not reach the planner, so under either the executor may charge
-    other terms than were priced.  With a *cache* hierarchy the hash
-    join pays random-access memory latency sized by its build input,
-    while the radix join pays partitioning passes but probes
+    charges, under the engine's *costs* (None: the defaults) and with
+    the radix join's bits forced to *radix_bits* or, when None,
+    auto-sized as the executor sizes them.  With a *cache* hierarchy
+    the hash join pays random-access memory latency sized by its build
+    input, while the radix join pays partitioning passes but probes
     cache-resident partitions — so radix wins exactly when the build
     side outgrows the cache.  Without a cache the partitioning passes
     make radix strictly costlier than hash, so it is never chosen.
@@ -161,9 +168,11 @@ def join_operator_cost(model: CostModel, operator: str,
     kind = "RadixHashJoin" if operator == "radix" else "HashJoin"
     n_build = int(min(step.rows_left, step.rows_right))
     n_probe = int(step.rows_left + step.rows_right) - n_build
-    bits = join_radix_bits(cache, n_build) if operator == "radix" else 0
-    partitioning, memory = join_cost_terms(CostParameters(), cache,
-                                           n_build, n_probe, bits)
+    bits = join_radix_bits(cache, n_build, radix_bits) \
+        if operator == "radix" else 0
+    partitioning, memory = join_cost_terms(
+        costs if costs is not None else CostParameters(), cache,
+        n_build, n_probe, bits)
     return (model.operator_ns(kind, step.rows_left, step.rows_out,
                               step.rows_right)
             + sum(partitioning + memory))

@@ -19,12 +19,14 @@ happens to land on a lucky sample.  This module implements the
 
 Everything operates on plain sequences of seconds, so the functions
 serve both the simulated-time experiments and the wall-clock
-pytest-benchmark gate (``scripts/bench_gate.py --stat``).
+benchmark-regression gate (``scripts/bench_gate.py``), whose samples
+are per-process medians of a same-runner A/B comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -165,9 +167,21 @@ def significant_regression(baseline: Sequence[float],
 
     Identical samples therefore never flag, and on exchangeable noisy
     samples the false-positive rate is bounded by *alpha*.
+
+    Raises :class:`~repro.errors.MeasurementError` when the sample
+    sizes cannot reject at *alpha* at all: the smallest two-sided exact
+    p-value, reached at complete separation, is ``2 / C(n_base +
+    n_cand, n_base)``, so one baseline sample (or 3 per side at 0.05)
+    would pass any slowdown.
     """
     base = _as_sample(baseline, "significant_regression(baseline)")
     cand = _as_sample(candidate, "significant_regression(candidate)")
+    min_p = 2.0 / comb(base.size + cand.size, base.size)
+    if min_p >= alpha:
+        raise MeasurementError(
+            f"significant_regression: {base.size} vs {cand.size} "
+            f"samples cannot reject at alpha={alpha} (smallest "
+            f"two-sided p is {min_p:.4f})")
     ratio = speedup(base, cand, protocol)
     ci = bootstrap_speedup_ci(base, cand, protocol=protocol,
                               confidence=confidence, n_boot=n_boot,

@@ -151,15 +151,20 @@ class _RecordingContext(ExecutionContext):
 
 class TestPlannerPricesJoinsAsCharged:
     """``join_operator_cost`` minus the model's operator estimate equals
-    the access and partitioning charges the join operator makes, and a
-    forced bit count is charged as :func:`join_cost_terms` defines it."""
+    the access and partitioning charges the join operator makes, also
+    under the engine's own cost constants and a forced bit count, and
+    those reach the planner through ``EngineConfig``."""
 
     #: Probe rows, and build rows whose hash table (48 B/row) fits the
     #: 2 MiB last-level cache (auto-sized to 0 bits) or outgrows it
     #: (auto-sized to 1 bit).
     N_PROBE, N_SMALL_BUILD, N_LARGE_BUILD = 60_000, 5_000, 50_000
 
-    def _access_charges(self, join, n_build, executor, cached):
+    #: Engine cost constants that make partitioning prohibitive.
+    COSTLY_PARTITIONING = CostParameters(radix_partition_ns_per_row=1e6)
+
+    def _access_charges(self, join, n_build, executor, cached,
+                        costs=None):
         """The join's memory-access and partitioning charges, with the
         build side checked to be the smaller (right) input."""
         cache = CacheModel.tutorial_laptop().hierarchy() if cached \
@@ -168,7 +173,7 @@ class TestPlannerPricesJoinsAsCharged:
         clock = VirtualClock()
         ctx = _RecordingContext(
             database=db, buffer_pool=BufferPool(1024, DiskModel(), clock),
-            clock=clock, executor=executor, cache=cache)
+            clock=clock, executor=executor, cache=cache, costs=costs)
         join.execute(ctx)
         assert join.span_extras["build_side"] == "right"
         hash_charges = [ns for category, ns in ctx.charges
@@ -208,19 +213,58 @@ class TestPlannerPricesJoinsAsCharged:
     @pytest.mark.parametrize("executor", ["loop", "vectorized"])
     @pytest.mark.parametrize("cached", [True, False])
     @pytest.mark.parametrize("bits", [0, 8])
+    @pytest.mark.parametrize("costly", [False, True])
     def test_forced_bits_charge_join_cost_terms(self, executor, cached,
-                                                bits):
+                                                bits, costly):
+        costs = self.COSTLY_PARTITIONING if costly else CostParameters()
         join = RadixHashJoin(*self._inputs(), ["fk"], ["pk"],
                              radix_bits=bits)
         cache, access = self._access_charges(join, self.N_LARGE_BUILD,
-                                             executor, cached)
+                                             executor, cached, costs)
         assert join.span_extras["radix_bits"] == bits
         partitioning, memory = join_cost_terms(
-            CostParameters(), cache, self.N_LARGE_BUILD, self.N_PROBE,
-            bits)
+            costs, cache, self.N_LARGE_BUILD, self.N_PROBE, bits)
         assert bool(partitioning) == bool(bits)
         assert access == [sum(terms) for terms in (partitioning, memory)
                           if terms]
+
+        # ...and the planner prices exactly those charges when handed
+        # the engine's constants and the forced bit count.
+        step = JoinStep(table="r", left_keys=("fk",), right_keys=("pk",),
+                        rows_left=self.N_PROBE,
+                        rows_right=self.N_LARGE_BUILD,
+                        rows_out=self.N_PROBE)
+        model = DEFAULT_COST_MODEL
+        extra = (join_operator_cost(model, "radix", step, cache=cache,
+                                    costs=costs, radix_bits=bits)
+                 - model.operator_ns("RadixHashJoin", step.rows_left,
+                                     step.rows_out, step.rows_right))
+        assert extra == pytest.approx(sum(access), rel=1e-12, abs=1e-6)
+
+    @pytest.mark.parametrize("config, expected", [
+        ({}, "radix"),
+        ({"costs": COSTLY_PARTITIONING}, "hash"),
+        ({"radix_bits": 12}, "hash")])
+    def test_engine_costs_pick_the_join(self, config, expected):
+        """A 120k x 100k join whose build side outgrows the cache:
+        default constants pick radix (auto-sized to 2 bits); prohibitive
+        partitioning in ``EngineConfig.costs``, or 4096 forced
+        partitions, must flip the planner to hash, the cheaper plan as
+        the executor charges it."""
+        db = _join_db(5, n_left=120_000, n_right=100_000)
+        engine = Engine(db, EngineConfig(
+            executor="vectorized", optimizer="cost",
+            cache_model=CacheModel.tutorial_laptop(), **config))
+        sql = "SELECT SUM(lv * rv) AS dot FROM l JOIN r ON fk = pk"
+        plan = engine.plan(sql)
+        assert list(plan.optimizer_info["join_ops"].values()) \
+            == [expected]
+        other = "hash" if expected == "radix" else "radix"
+        forced_sql = f"{sql} /*+ JOIN_OP(l {other}) */"
+        for warm in (sql, forced_sql):  # buffer pool, plan cache
+            engine.execute(warm)
+        chosen = engine.execute(sql).server_time.real
+        assert chosen < engine.execute(forced_sql).server_time.real
 
 
 def _scan_db(seed, n=10_000, null_fraction=0.0):

@@ -110,6 +110,21 @@ class TestSignificantRegression:
         # only removes flags, so 7% leaves margin for trial noise.
         assert flagged / trials <= 0.07
 
+    @pytest.mark.parametrize("base, cand", [
+        ([0.232], [10.0]),                       # a 43x slowdown
+        ([0.010, 0.011, 0.012], [0.020, 0.021, 0.022])])
+    def test_sizes_that_cannot_reject_are_refused(self, base, cand):
+        with pytest.raises(MeasurementError, match="cannot reject"):
+            significant_regression(base, cand, n_boot=50)
+
+    def test_four_per_side_complete_separation_flags(self):
+        """2 / C(8, 4) = 0.029 < 0.05: the smallest size that can."""
+        verdict = significant_regression(
+            [0.010, 0.011, 0.012, 0.0105],
+            [0.020, 0.021, 0.022, 0.0205], n_boot=50)
+        assert verdict.p_value == pytest.approx(2 / 70)
+        assert verdict.regression
+
     def test_format_mentions_verdict(self):
         ok = significant_regression([0.01] * 5, [0.01] * 5, n_boot=50)
         assert ok.format().startswith("ok:")
